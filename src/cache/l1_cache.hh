@@ -52,6 +52,9 @@ class L1Cache
     /** True if @p a is present (and touch it). */
     bool lookup(Addr a) { return _array.find(a) != nullptr; }
 
+    /** True if @p a is present (no recency update). */
+    bool contains(Addr a) const { return _array.find(a) != nullptr; }
+
     /** Fill the L1 line containing @p a (evicting silently). */
     void fill(Addr a) { _array.allocate(a); }
 

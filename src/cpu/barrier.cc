@@ -8,6 +8,71 @@
 namespace pcsim
 {
 
+namespace
+{
+
+/**
+ * Did a chain event at tick @p now, scheduled at @p insert_tick (< now)
+ * by a normal-phase inserter, run before @p waker? Sets @p tie when
+ * nothing orders the two; the chain event then counts as first.
+ */
+bool
+ranFirst(Tick now, Tick insert_tick, const EventOrder &waker, bool &tie)
+{
+    if (waker.phase0) {
+        // An early phase-0 event runs ahead of every normal event of
+        // its tick; a same-tick one runs right after its (unknown)
+        // inserter.
+        if (waker.insertTick < now)
+            return false;
+        tie = true;
+        return true;
+    }
+    if (insert_tick != waker.insertTick)
+        return insert_tick < waker.insertTick;
+    if (waker.inserterPhase0)
+        return false;
+    tie = true;
+    return true;
+}
+
+} // namespace
+
+SpinPrefix
+spinWakePrefix(const SpinChain &c, Tick now, const EventOrder &waker)
+{
+    SpinPrefix p;
+    if (now < c.firstPoll)
+        return p;
+    const Tick period = c.spinDelay + c.hitLatency;
+    const Tick since = now - c.firstPoll;
+    // L_k <= now < L_{k+1}.
+    const std::uint64_t k = since / period + 1;
+    const Tick phase = since % period;
+    p.polls = k;
+    p.completions = k - 1;
+    if (phase == 0) {
+        // L_k is at now, scheduled by D_{k-1}.
+        if (!ranFirst(now, now - c.spinDelay, waker, p.tie))
+            p.polls = k - 1;
+    } else if (phase > c.hitLatency ||
+               (phase == c.hitLatency &&
+                ranFirst(now, now - c.hitLatency, waker, p.tie))) {
+        // D_k is before now, or at now and scheduled by L_k first.
+        p.completions = k;
+    }
+    return p;
+}
+
+SpinPrefix
+spinPrefixBefore(const SpinChain &c, Tick tick)
+{
+    if (tick == 0)
+        return SpinPrefix{};
+    // An early phase-0 waker at @p tick precedes all of that tick.
+    return spinWakePrefix(c, tick, EventOrder{tick - 1, false, true});
+}
+
 BarrierDriver::BarrierDriver(EventQueue &eq, std::vector<Hub *> hubs,
                              Addr base, std::uint32_t line_bytes,
                              Tick spin_delay)
@@ -16,7 +81,7 @@ BarrierDriver::BarrierDriver(EventQueue &eq, std::vector<Hub *> hubs,
       _base(base),
       _lineBytes(line_bytes),
       _spinDelay(spin_delay),
-      _genOfCpu(_hubs.size(), 0)
+      _spinners(_hubs.size())
 {
     if (_hubs.empty())
         fatal("barrier driver needs at least one CPU");
@@ -31,85 +96,150 @@ BarrierDriver::regionBytes() const
 void
 BarrierDriver::arrive(unsigned cpu, std::function<void()> done)
 {
-    const std::uint64_t gen = ++_genOfCpu.at(cpu);
+    Spinner &s = _spinners.at(cpu);
+    ++s.gen;
+    s.done = std::move(done);
 
     if (_hubs.size() == 1) {
         // Degenerate single-CPU system.
-        cpuPassed(cpu, gen, std::move(done));
+        cpuPassed(cpu);
         return;
     }
 
     if (cpu == 0) {
         // Master: first post its own arrival implicitly by starting to
         // collect the slaves' arrival flags.
-        masterCollect(1, gen, std::move(done));
+        collect(1);
     } else {
         // Slave: publish arrival (one write), then spin on release.
-        _hubs[cpu]->cpuAccess(
-            /*is_write=*/true, arrivalLine(cpu),
-            [this, cpu, gen, done = std::move(done)](Version) mutable {
-                slaveSpin(cpu, gen, std::move(done));
-            });
+        s.flag = releaseLine();
+        _hubs[cpu]->cpuAccess(/*is_write=*/true, arrivalLine(cpu),
+                              [this, cpu](Version) { poll(cpu); });
     }
 }
 
 void
-BarrierDriver::masterCollect(unsigned next_slave, std::uint64_t gen,
-                             std::function<void()> done)
+BarrierDriver::collect(unsigned slave)
 {
-    if (next_slave >= _hubs.size()) {
+    if (slave >= _hubs.size()) {
         // Everyone arrived: publish the release (one write), then the
         // master itself may pass.
-        _hubs[0]->cpuAccess(
-            /*is_write=*/true, releaseLine(),
-            [this, gen, done = std::move(done)](Version) mutable {
-                cpuPassed(0, gen, std::move(done));
-            });
+        _hubs[0]->cpuAccess(/*is_write=*/true, releaseLine(),
+                            [this](Version) { cpuPassed(0); });
+        return;
+    }
+    Spinner &s = _spinners[0];
+    s.slave = slave;
+    s.flag = arrivalLine(slave);
+    poll(0);
+}
+
+void
+BarrierDriver::poll(unsigned cpu)
+{
+    _hubs[cpu]->cpuAccess(/*is_write=*/false, _spinners[cpu].flag,
+                          [this, cpu](Version v) { polled(cpu, v); });
+}
+
+void
+BarrierDriver::polled(unsigned cpu, Version v)
+{
+    Spinner &s = _spinners[cpu];
+    if (v >= s.gen) {
+        if (cpu == 0)
+            collect(s.slave + 1);
+        else
+            cpuPassed(cpu);
         return;
     }
 
-    _hubs[0]->cpuAccess(
-        /*is_write=*/false, arrivalLine(next_slave),
-        [this, next_slave, gen,
-         done = std::move(done)](Version v) mutable {
-            if (v >= gen) {
-                masterCollect(next_slave + 1, gen, std::move(done));
-            } else {
-                // Respin on the master hub's shard queue (== _eq under
-                // the sequential kernel).
-                _hubs[0]->eventQueue().scheduleIn(
-                    _spinDelay, [this, next_slave, gen,
-                                 done = std::move(done)]() mutable {
-                        masterCollect(next_slave, gen, std::move(done));
-                    });
-            }
-        });
+    // Respin on the CPU hub's shard queue (== _eq under the sequential
+    // kernel) -- or park, when every poll until the cache controller
+    // is next touched would re-read this same L1 copy.
+    Hub &hub = *_hubs[cpu];
+    EventQueue &eq = hub.eventQueue();
+    CacheController &cc = hub.cacheCtrl();
+    if (cc.spinCanPark(s.flag, v)) {
+        s.parked = true;
+        s.stale = v;
+        s.chain = SpinChain{eq.curTick() + _spinDelay, _spinDelay,
+                            hub.cfg().l1.hitLatency};
+        s.credited = SpinPrefix{};
+        ++s.stats.parks;
+        cc.parkSpinner([this, cpu]() { wake(cpu); });
+        return;
+    }
+    eq.scheduleIn(_spinDelay, [this, cpu]() { poll(cpu); });
 }
 
 void
-BarrierDriver::slaveSpin(unsigned cpu, std::uint64_t gen,
-                         std::function<void()> done)
+BarrierDriver::wake(unsigned cpu)
 {
-    _hubs[cpu]->cpuAccess(
-        /*is_write=*/false, releaseLine(),
-        [this, cpu, gen, done = std::move(done)](Version v) mutable {
-            if (v >= gen) {
-                cpuPassed(cpu, gen, std::move(done));
-            } else {
-                _hubs[cpu]->eventQueue().scheduleIn(
-                    _spinDelay, [this, cpu, gen,
-                                 done = std::move(done)]() mutable {
-                        slaveSpin(cpu, gen, std::move(done));
-                    });
-            }
-        });
+    Spinner &s = _spinners[cpu];
+    EventQueue &eq = _hubs[cpu]->eventQueue();
+    const SpinPrefix ran =
+        spinWakePrefix(s.chain, eq.curTick(), eq.runningOrder());
+    if (ran.tie)
+        ++s.stats.wakeTies;
+    credit(cpu, ran);
+    s.parked = false;
+
+    // Materialize the first chain event that had not run yet, in the
+    // queue position its virtual inserter gave it.
+    if (ran.completions == ran.polls) {
+        const Tick at = s.chain.pollTick(ran.polls + 1);
+        eq.scheduleAs(at, at - _spinDelay, [this, cpu]() { poll(cpu); });
+    } else {
+        const Tick at = s.chain.pollTick(ran.polls);
+        eq.scheduleAs(at + s.chain.hitLatency, at,
+                      [this, cpu, v = s.stale]() { polled(cpu, v); });
+    }
 }
 
 void
-BarrierDriver::cpuPassed(unsigned cpu, std::uint64_t gen,
-                         std::function<void()> done)
+BarrierDriver::credit(unsigned cpu, const SpinPrefix &upto)
 {
-    (void)gen;
+    Spinner &s = _spinners[cpu];
+    const std::uint64_t polls = upto.polls - s.credited.polls;
+    const std::uint64_t events =
+        polls + (upto.completions - s.credited.completions);
+    s.credited = upto;
+    if (!events)
+        return;
+    Hub &hub = *_hubs[cpu];
+    hub.cacheCtrl().creditSpinPolls(s.flag, polls);
+    hub.eventQueue().creditElided(events);
+    s.stats.pollsElided += polls;
+}
+
+void
+BarrierDriver::settleParked(Tick boundary)
+{
+    for (unsigned cpu = 0; cpu < _spinners.size(); ++cpu) {
+        Spinner &s = _spinners[cpu];
+        if (s.parked) {
+            credit(cpu, spinPrefixBefore(s.chain, boundary));
+            ++s.stats.settled;
+        }
+    }
+}
+
+BarrierDriver::SpinStats
+BarrierDriver::spinStats() const
+{
+    SpinStats sum;
+    for (const Spinner &s : _spinners) {
+        sum.pollsElided += s.stats.pollsElided;
+        sum.parks += s.stats.parks;
+        sum.wakeTies += s.stats.wakeTies;
+        sum.settled += s.stats.settled;
+    }
+    return sum;
+}
+
+void
+BarrierDriver::cpuPassed(unsigned cpu)
+{
     const Tick pass_tick = _hubs[cpu]->eventQueue().curTick();
     std::uint64_t completed = 0;
     Tick max_pass = 0;
@@ -126,6 +256,8 @@ BarrierDriver::cpuPassed(unsigned cpu, std::uint64_t gen,
     }
     if (completed && _onGeneration)
         _onGeneration(completed, max_pass);
+    // done() may re-enter arrive() for this CPU's next barrier.
+    const std::function<void()> done = std::move(_spinners[cpu].done);
     done();
 }
 

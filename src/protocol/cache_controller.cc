@@ -48,6 +48,28 @@ CacheController::l2State(Addr line, Version &version) const
     return e->state;
 }
 
+bool
+CacheController::spinCanPark(Addr addr, Version version) const
+{
+    if (_hub.observer() || !_l1.contains(addr))
+        return false;
+    const L2Entry *e = _l2.find(_hub.lineOf(addr));
+    return e && canRead(e->state) && e->version == version;
+}
+
+void
+CacheController::creditSpinPolls(Addr addr, std::uint64_t polls)
+{
+    if (!polls)
+        return;
+    NodeStats &st = _hub.stats();
+    st.reads += polls;
+    st.l1Hits += polls;
+    _l1.lookup(addr);
+    _l2.find(_hub.lineOf(addr))->staleUpdates = 0;
+    _hub.checker().creditLoads(polls);
+}
+
 void
 CacheController::performStore(Addr line, L2Entry &entry)
 {
@@ -70,6 +92,7 @@ void
 CacheController::access(bool is_write, Addr addr, AccessCallback done,
                         unsigned conflict_retries)
 {
+    wakeSpinner();
     const Addr line = _hub.lineOf(addr);
     NodeStats &st = _hub.stats();
     EventQueue &eq = _hub.eventQueue();
@@ -244,6 +267,7 @@ CacheController::sendRequest(Mshr &m)
 void
 CacheController::retry(Addr line)
 {
+    wakeSpinner();
     Mshr *m = _mshrs.find(line);
     if (!m)
         return;
@@ -290,6 +314,7 @@ CacheController::retry(Addr line)
 void
 CacheController::handleResponse(const Message &msg)
 {
+    wakeSpinner();
     const Addr line = msg.addr;
     NodeStats &st = _hub.stats();
     Mshr *m = _mshrs.find(line);
@@ -509,6 +534,7 @@ CacheController::l2Fill(Addr line, LineState state, Version version)
 void
 CacheController::dropLine(Addr line)
 {
+    wakeSpinner();
     _l1.invalidateRange(line, _cfg.lineBytes);
     _l2.invalidate(line);
 }
@@ -564,6 +590,7 @@ CacheController::evictVictim(Addr victim, L2Entry &v)
 void
 CacheController::handleIntervention(const Message &msg)
 {
+    wakeSpinner();
     const Addr line = msg.addr;
 
     verify::ConformanceScope scope(
@@ -716,6 +743,7 @@ CacheController::staleByTombstone(Addr line, Version version) const
 void
 CacheController::handleUpdate(const Message &msg)
 {
+    wakeSpinner();
     const Addr line = msg.addr;
     NodeStats &st = _hub.stats();
 
@@ -773,6 +801,7 @@ CacheController::handleUpdate(const Message &msg)
 void
 CacheController::handleHomeHint(const Message &msg)
 {
+    wakeSpinner();
     verify::ConformanceScope scope(
         _hub.observer(), verify::Ctrl::Cache, _hub.id(), msg.addr,
         verify::PEvent::HomeHint, [this, line = msg.addr]() {
@@ -786,6 +815,7 @@ CacheController::handleHomeHint(const Message &msg)
 Version
 CacheController::localDowngrade(Addr line, Version fallback)
 {
+    wakeSpinner();
     verify::ConformanceScope scope(
         _hub.observer(), verify::Ctrl::Cache, _hub.id(), line,
         verify::PEvent::LocalDowngrade,

@@ -104,7 +104,45 @@ class CacheController
     void dropLine(Addr line);
     /// @}
 
+    /** @name Barrier spin elision (src/cpu/barrier.hh).
+     *
+     * A load that hits in the L1 reads only the L1 tags and the L2
+     * entry, and every call that can change either (each public
+     * mutator, and retries) first runs the parked spinner's wake
+     * hook. So between a park and that call, every poll of the
+     * spinner's flag is an L1 hit reading the same version.
+     */
+    /// @{
+    /** Would a load of @p addr now hit in the L1 and read
+     *  @p version, with parking allowed (the conformance observer,
+     *  which records every access, is off)? No LRU side effects. */
+    bool spinCanPark(Addr addr, Version version) const;
+
+    /** Run @p wake once, before the next state change. */
+    void
+    parkSpinner(std::function<void()> wake)
+    {
+        _spinWake = std::move(wake);
+    }
+
+    /** Account @p polls elided L1-hit loads of @p addr: the counters
+     *  and checker work they would have done, plus one L1 and one L2
+     *  touch (repeated touches of one line keep the same LRU order). */
+    void creditSpinPolls(Addr addr, std::uint64_t polls);
+    /// @}
+
   private:
+    /** Run and clear a parked spinner's wake hook, if any. */
+    void
+    wakeSpinner()
+    {
+        if (_spinWake) {
+            const std::function<void()> wake = std::move(_spinWake);
+            _spinWake = nullptr;
+            wake();
+        }
+    }
+
     void missPath(bool is_write, Addr addr, Addr line,
                   AccessCallback done, unsigned conflict_retries);
     /** Pick the target (producer table / consumer hint / home) and
@@ -147,6 +185,9 @@ class CacheController
     static constexpr std::size_t tombstoneCapacity = 128;
 
     std::uint64_t _nextTxnId = 0;
+
+    /** Wake hook of the parked spinner (empty when none). */
+    std::function<void()> _spinWake;
 };
 
 } // namespace pcsim

@@ -111,6 +111,17 @@ CoherenceChecker::loadPerformed(NodeId node, Addr line, Version version)
 }
 
 void
+CoherenceChecker::creditLoads(std::uint64_t n)
+{
+    if (!_enabled)
+        return;
+    std::unique_lock<std::mutex> lk(_mutex, std::defer_lock);
+    if (_parallel)
+        lk.lock();
+    _numChecks += n;
+}
+
+void
 CoherenceChecker::checkLineQuiescent(Addr line, Version cur,
                                      NodeId home) const
 {

@@ -132,6 +132,10 @@ class CoherenceChecker
     /** A load by @p node of @p line returned @p version. */
     void loadPerformed(NodeId node, Addr line, Version version);
 
+    /** Count @p n loads that re-read the version their node last saw
+     *  (elided barrier spin polls): each would pass both checks. */
+    void creditLoads(std::uint64_t n);
+
     /**
      * Full-system check, valid only when no transactions are in
      * flight (end of run / directed tests).

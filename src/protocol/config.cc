@@ -145,6 +145,9 @@ ProtocolConfig::validateError() const
     if (l1.sizeBytes == 0 || l1.ways == 0 ||
         l1.sizeBytes < l1.ways * l1.lineBytes)
         return "L1 geometry is degenerate (size/ways/lineBytes)";
+    if (l1.hitLatency == 0)
+        return "l1.hitLatency must be at least 1 (a zero-latency hit "
+               "completes in the tick of the load that issued it)";
     if (l2SizeBytes == 0 || l2Ways == 0 ||
         (l2SetsOverride == 0 && l2SizeBytes < l2Ways * lineBytes))
         return "L2 geometry is degenerate (size/ways/lineBytes)";

@@ -173,7 +173,7 @@ protocolBench(const char *name, const std::string &workload,
         RunResult r = sys.run(*wl);
         if (rep == 0 || r.perf.wallSeconds < br.wallSeconds) {
             br.wallSeconds = r.perf.wallSeconds;
-            br.events = r.perf.eventsExecuted;
+            br.events = r.perf.eventsRun();
             br.cycles = r.perf.simTicks;
             br.ticksPerSec = r.perf.ticksPerSec();
             br.poolHitRate = r.perf.poolHitRate();
@@ -385,7 +385,7 @@ runScaleSweep(const ScaleOptions &opt)
                 RunResult r = sys.run(*wl);
                 if (rep == 0 || r.perf.wallSeconds < p.wallSeconds) {
                     p.cycles = r.cycles;
-                    p.events = r.perf.eventsExecuted;
+                    p.events = r.perf.eventsRun();
                     p.wallSeconds = r.perf.wallSeconds;
                     p.stats = r.nodes;
                     p.netMessages = r.netMessages;
@@ -495,7 +495,7 @@ runParallelBench(const BenchOptions &opt)
                 RunResult r = sys.run(*wl);
                 if (rep == 0 || r.perf.wallSeconds < wall) {
                     wall = r.perf.wallSeconds;
-                    events = r.perf.eventsExecuted;
+                    events = r.perf.eventsRun();
                 }
                 effective = r.perf.shards;
                 // Every repeat must serialize identically -- the

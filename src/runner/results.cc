@@ -63,6 +63,15 @@ namespace runner
     X(windowAdvances)                                                     \
     X(poolReuses)
 
+/** Barrier spin-elision counters: content-determined, but kept out
+ *  of default documents (serialized with_timing only) so those stay
+ *  byte-identical to pre-elision ones. */
+#define PCSIM_RUN_PERF_ELISION_FIELDS(X)                                  \
+    X(eventsElided)                                                       \
+    X(spinPollsElided)                                                    \
+    X(spinParks)                                                          \
+    X(spinWakeTies)
+
 /** All scalar counters in the historic (schemaVersion 2) order; the
  *  CSV keeps this column layout. */
 #define PCSIM_RUN_PERF_FIELDS(X)                                          \
@@ -110,6 +119,7 @@ toJson(const RunResult &r, bool with_timing)
     if (with_timing) {
 #define X(field) perf[#field] = JsonValue(r.perf.field);
         PCSIM_RUN_PERF_SHARDED_FIELDS(X)
+        PCSIM_RUN_PERF_ELISION_FIELDS(X)
 #undef X
         perf["shards"] = JsonValue(std::uint64_t(r.perf.shards));
         JsonValue se = JsonValue::array();
@@ -235,6 +245,7 @@ runResultFromJson(const JsonValue &v)
         if (const JsonValue *f = perf->find(#field))                      \
             r.perf.field = f->asUInt();
         PCSIM_RUN_PERF_FIELDS(X)
+        PCSIM_RUN_PERF_ELISION_FIELDS(X)
 #undef X
         if (const JsonValue *w = perf->find("wallSeconds"))
             r.perf.wallSeconds = w->asDouble();

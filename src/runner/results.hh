@@ -26,6 +26,8 @@
  *           // determinism-checked documents):
  *           "peakQueueDepth": N, "overflowEvents": N,
  *           "windowAdvances": N, "poolReuses": N,
+ *           "eventsElided": N, "spinPollsElided": N,
+ *           "spinParks": N, "spinWakeTies": N,
  *           "shards": N, "shardEvents": [N, ...],
  *           "kernelWindows": N, "kernelBarriers": N,
  *           "crossShardMessages": N,

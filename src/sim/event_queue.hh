@@ -50,6 +50,28 @@ struct EventQueueStats
     std::uint64_t overflowEvents = 0;
     /** Calendar-window advances (overflow migrations). */
     std::uint64_t windowAdvances = 0;
+    /** Events a component skipped and credited with creditElided();
+     *  already included in executed / scheduled / inlineCallbacks. */
+    std::uint64_t elided = 0;
+};
+
+/**
+ * Where an event sits among the events of its tick. Normal events of
+ * one tick run in schedule order, and schedule order is the order
+ * their inserters ran in, so an event's position is fixed by the tick
+ * it was scheduled at and by whether its inserter ran ahead of every
+ * normal event of that tick (an "early" phase-0 event: one queued
+ * before its own tick, like the network's arrival drains).
+ */
+struct EventOrder
+{
+    /** Tick the event was scheduled at. */
+    Tick insertTick = 0;
+    /** Its inserter was an early phase-0 event. */
+    bool inserterPhase0 = false;
+    /** The event itself runs from the phase-0 list (only meaningful
+     *  for the running event, see EventQueue::runningOrder()). */
+    bool phase0 = false;
 };
 
 /**
@@ -104,6 +126,61 @@ class EventQueue
     scheduleIn(Tick delta, F &&f)
     {
         schedule(_curTick + delta, std::forward<F>(f));
+    }
+
+    /**
+     * Schedule normal-phase @p f at tick @p when in the position it
+     * would hold had a normal event scheduled it at the earlier tick
+     * @p insert_tick: after every event of that tick scheduled at or
+     * before @p insert_tick, ahead of those scheduled later. Used to
+     * materialize an elided event chain exactly (src/cpu/barrier.hh).
+     */
+    template <typename F>
+    void
+    scheduleAs(Tick when, Tick insert_tick, F &&f)
+    {
+        if (when < _curTick || insert_tick > _curTick)
+            panic("scheduleAs: event at %llu inserted at %llu from "
+                  "tick %llu",
+                  (unsigned long long)when,
+                  (unsigned long long)insert_tick,
+                  (unsigned long long)_curTick);
+        EventNode *n = allocNode();
+        emplace(n, std::forward<F>(f));
+        n->order = insert_tick << 1;
+        ++_stats.scheduled;
+        if ((when >> kLogBuckets) == _curWindow) {
+            insertSorted(static_cast<std::size_t>(when & kSlotMask), n);
+            ++_ringCount;
+        } else {
+            pushOverflow(when, n, false);
+        }
+        notePending();
+    }
+
+    /** Order key of the event being executed (the last one, between
+     *  events). */
+    EventOrder
+    runningOrder() const
+    {
+        return EventOrder{_runningOrder >> 1, (_runningOrder & 1) != 0,
+                          _runningPhase0};
+    }
+
+    /**
+     * Account for @p n events a component proved unobservable and
+     * skipped. Each stands for one executed event whose inline
+     * callback scheduled exactly one successor, so the deterministic
+     * executed / scheduled / inlineCallbacks totals stay those of the
+     * unelided run; @c elided keeps the count apart.
+     */
+    void
+    creditElided(std::uint64_t n)
+    {
+        _stats.executed += n;
+        _stats.scheduled += n;
+        _stats.inlineCallbacks += n;
+        _stats.elided += n;
     }
 
     /** Number of events not yet executed. */
@@ -183,6 +260,9 @@ class EventQueue
         _curWindow = 0;
         _curTick = 0;
         _nextFarSeq = 0;
+        _runningOrder = 0;
+        _runningPhase0 = false;
+        _inserterBit = 0;
         _stopRequested = false;
         _stats = EventQueueStats{};
     }
@@ -214,11 +294,16 @@ class EventQueue
         /** Null for trivially-destructible inline callables; frees
          *  the heap copy for oversized ones. */
         void (*dtor)(void *);
+        /** EventOrder packed as insertTick << 1 | inserterPhase0
+         *  (fills the padding in front of the aligned buffer). */
+        std::uint64_t order;
         alignas(std::max_align_t)
             unsigned char buf[inlineCallbackBytes];
     };
     static_assert(sizeof(EventNode) % alignof(std::max_align_t) == 0,
                   "node stride must preserve buffer alignment");
+    static_assert(offsetof(EventNode, buf) == 4 * sizeof(void *),
+                  "the order key must live in the buffer's padding");
 
     /** One tick's worth of events: a phase-0 FIFO (drained first)
      *  and the normal FIFO, each in schedule order. */
@@ -231,10 +316,13 @@ class EventQueue
         bool empty() const { return !head0 && !head; }
     };
 
-    /** An event beyond the near horizon, heap-ordered by (when, seq). */
+    /** An event beyond the near horizon, heap-ordered by (when,
+     *  insertTick, seq); insertTick grows with seq except for
+     *  scheduleAs() events, which it places among their tick. */
     struct FarEvent
     {
         Tick when;
+        Tick insertTick;
         std::uint64_t seq;
         EventNode *node;
         bool phase0;
@@ -248,6 +336,8 @@ class EventQueue
         {
             if (a.when != b.when)
                 return a.when > b.when;
+            if (a.insertTick != b.insertTick)
+                return a.insertTick > b.insertTick;
             return a.seq > b.seq;
         }
     };
@@ -308,6 +398,7 @@ class EventQueue
                   (unsigned long long)when, (unsigned long long)_curTick);
         EventNode *n = allocNode();
         emplace(n, std::forward<F>(f));
+        n->order = (_curTick << 1) | _inserterBit;
         ++_stats.scheduled;
 
         const std::uint64_t w = when >> kLogBuckets;
@@ -316,15 +407,49 @@ class EventQueue
                        phase0);
             ++_ringCount;
         } else {
-            ++_stats.overflowEvents;
-            _overflow.push_back(FarEvent{when, _nextFarSeq++, n,
-                                         phase0});
-            std::push_heap(_overflow.begin(), _overflow.end(),
-                           FarLater{});
+            pushOverflow(when, n, phase0);
         }
+        notePending();
+    }
+
+    void
+    pushOverflow(Tick when, EventNode *n, bool phase0)
+    {
+        ++_stats.overflowEvents;
+        _overflow.push_back(
+            FarEvent{when, n->order >> 1, _nextFarSeq++, n, phase0});
+        std::push_heap(_overflow.begin(), _overflow.end(), FarLater{});
+    }
+
+    void
+    notePending()
+    {
         const std::uint64_t pending = _ringCount + _overflow.size();
         if (pending > _stats.peakPending)
             _stats.peakPending = pending;
+    }
+
+    /** Link normal-phase @p n into @p slot after every node scheduled
+     *  at or before its insert tick. A slot's list is sorted by
+     *  insert tick: appends carry the current tick and migrations
+     *  arrive in (insertTick, seq) order into an empty ring. */
+    void
+    insertSorted(std::size_t slot, EventNode *n)
+    {
+        Slot &s = _slots[slot];
+        if (s.empty())
+            _occupied[slot >> 6] |= std::uint64_t(1) << (slot & 63);
+        const Tick at = n->order >> 1;
+        EventNode *prev = nullptr;
+        EventNode *cur = s.head;
+        while (cur && (cur->order >> 1) <= at) {
+            prev = cur;
+            cur = cur->next;
+        }
+        n->next = cur;
+        (prev ? prev->next : s.head) = n;
+        if (!cur)
+            s.tail = n;
     }
 
     void
@@ -440,6 +565,9 @@ class EventQueue
                 ~(std::uint64_t(1) << (slot & 63));
         --_ringCount;
         _curTick = when;
+        _runningOrder = n->order;
+        _runningPhase0 = phase0;
+        _inserterBit = phase0 && (n->order >> 1) < when ? 1 : 0;
         n->invoke(n->buf);
         if (n->dtor)
             n->dtor(n->buf);
@@ -486,6 +614,11 @@ class EventQueue
     std::size_t _slabUsed = kNodesPerSlab;
 
     Tick _curTick = 0;
+    /** Packed order key and phase of the running event, and the
+     *  inserterPhase0 bit the events it schedules inherit. */
+    std::uint64_t _runningOrder = 0;
+    bool _runningPhase0 = false;
+    std::uint64_t _inserterBit = 0;
     bool _stopRequested = false;
     EventQueueStats _stats;
 };

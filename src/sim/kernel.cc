@@ -272,6 +272,7 @@ SimKernel::aggregateStats() const
         sum.heapCallbacks += s.heapCallbacks;
         sum.overflowEvents += s.overflowEvents;
         sum.windowAdvances += s.windowAdvances;
+        sum.elided += s.elided;
     }
     return sum;
 }

@@ -42,6 +42,19 @@ struct RunPerf
     /** Calendar-window advances (overflow migrations). */
     std::uint64_t windowAdvances = 0;
 
+    // Barrier spin elision (src/cpu/barrier.hh). eventsExecuted counts
+    // model events, elided ones included; these say how many of them
+    // the kernel skipped. Content-determined, but serialized only with
+    // the timing fields so default documents keep their shape.
+    /** Events credited instead of executed. */
+    std::uint64_t eventsElided = 0;
+    /** Spin polls credited instead of executed. */
+    std::uint64_t spinPollsElided = 0;
+    /** Times a spinner parked on its L1 line. */
+    std::uint64_t spinParks = 0;
+    /** Wakes whose ordering against the chain was a tie. */
+    std::uint64_t spinWakeTies = 0;
+
     // Message pool counters.
     std::uint64_t poolAcquires = 0;
     std::uint64_t poolReuses = 0;
@@ -68,11 +81,18 @@ struct RunPerf
     /** Host wall-clock seconds (volatile across hosts/runs). */
     double wallSeconds = 0.0;
 
+    /** Events the kernel really executed (model events minus the
+     *  elided ones). */
+    std::uint64_t
+    eventsRun() const
+    {
+        return eventsExecuted - eventsElided;
+    }
+
     double
     eventsPerSec() const
     {
-        return wallSeconds > 0 ? double(eventsExecuted) / wallSeconds
-                               : 0.0;
+        return wallSeconds > 0 ? double(eventsRun()) / wallSeconds : 0.0;
     }
 
     double

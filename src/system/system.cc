@@ -27,6 +27,10 @@ System::System(const MachineConfig &cfg)
       _net(_kernel.queue(0), cfg.proto.numNodes, cfg.net)
 {
     cfg.proto.validate();
+    if (cfg.barrierSpinDelay == 0)
+        fatal("invalid machine configuration: barrierSpinDelay must be "
+              "at least 1 (a zero delay puts a spin poll in the same "
+              "tick as the completion that schedules it)");
     const bool parallel = _kernel.numShards() > 1;
     if (cfg.proto.checkerEnabled || cfg.proto.conformanceEnabled) {
         _trace = std::make_unique<verify::MessageTrace>();
@@ -181,6 +185,7 @@ System::run(Workload &workload, Tick max_ticks)
     _barrier->setOnGeneration([this](std::uint64_t gen, Tick at) {
         if (gen == 1) {
             _kernel.requestGlobalAction(at, [this](Tick boundary) {
+                _barrier->settleParked(boundary);
                 resetStats();
                 _statsResetTick = boundary;
             });
@@ -242,6 +247,11 @@ System::run(Workload &workload, Tick max_ticks)
     r.perf.heapCallbacks = eqs.heapCallbacks;
     r.perf.overflowEvents = eqs.overflowEvents;
     r.perf.windowAdvances = eqs.windowAdvances;
+    r.perf.eventsElided = eqs.elided;
+    const BarrierDriver::SpinStats spin = _barrier->spinStats();
+    r.perf.spinPollsElided = spin.pollsElided;
+    r.perf.spinParks = spin.parks;
+    r.perf.spinWakeTies = spin.wakeTies;
     const Pool<Message>::Stats pool_stats = _net.poolStats();
     r.perf.poolAcquires = pool_stats.acquires;
     r.perf.poolReuses = pool_stats.reuses;

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "harness.hh"
+#include "src/runner/job.hh"
+#include "src/runner/results.hh"
 
 using namespace pcsim;
 
@@ -103,4 +105,149 @@ TEST(Barrier, WorksUnderFullMechanismConfig)
         runBarrier(h, 16);
     EXPECT_EQ(h.sys.barrier().generationsCompleted(), 8u);
     h.checkQuiescent();
+}
+
+// ---- Spin elision: the wake-prefix arithmetic ----------------------
+//
+// Chain used below: L_k = 1000 + 32(k-1), D_k = L_k + 2; L_k is
+// scheduled at L_k - 30 (by D_{k-1}) and D_k at L_k.
+
+namespace
+{
+
+const SpinChain kChain{/*firstPoll=*/1000, /*spinDelay=*/30,
+                       /*hitLatency=*/2};
+
+/** A normal-phase waker scheduled at @p insert_tick. */
+EventOrder
+normalWaker(Tick insert_tick, bool inserter_phase0 = false)
+{
+    return EventOrder{insert_tick, inserter_phase0, false};
+}
+
+void
+expectPrefix(const SpinPrefix &p, std::uint64_t polls,
+             std::uint64_t completions, bool tie = false)
+{
+    EXPECT_EQ(p.polls, polls);
+    EXPECT_EQ(p.completions, completions);
+    EXPECT_EQ(p.tie, tie);
+}
+
+} // namespace
+
+TEST(SpinWakePrefix, WakeBeforeTheFirstVirtualPoll)
+{
+    expectPrefix(spinWakePrefix(kChain, 971, normalWaker(900)), 0, 0);
+    expectPrefix(spinWakePrefix(kChain, 999, normalWaker(998)), 0, 0);
+}
+
+TEST(SpinWakePrefix, WakeOnAPollTick)
+{
+    // L_1 at 1000 was scheduled at 970.
+    expectPrefix(spinWakePrefix(kChain, 1000, normalWaker(960)), 0, 0);
+    expectPrefix(spinWakePrefix(kChain, 1000, normalWaker(980)), 1, 0);
+    // Same insert tick: a waker scheduled by an early phase-0 event
+    // (every remote delivery) was queued first.
+    expectPrefix(
+        spinWakePrefix(kChain, 1000, normalWaker(970, true)), 0, 0);
+    // L_3 at 1064, scheduled at 1034, after D_2 at 1034.
+    expectPrefix(spinWakePrefix(kChain, 1064, normalWaker(1033)), 2, 2);
+    expectPrefix(spinWakePrefix(kChain, 1064, normalWaker(1035)), 3, 2);
+}
+
+TEST(SpinWakePrefix, WakeOnACompletionTick)
+{
+    // D_3 at 1066 was scheduled at L_3 = 1064.
+    expectPrefix(spinWakePrefix(kChain, 1066, normalWaker(1063)), 3, 2);
+    expectPrefix(
+        spinWakePrefix(kChain, 1066, normalWaker(1064, true)), 3, 2);
+    expectPrefix(spinWakePrefix(kChain, 1066, normalWaker(1066)), 3, 3);
+    // Between events.
+    expectPrefix(spinWakePrefix(kChain, 1065, normalWaker(1000)), 3, 2);
+    expectPrefix(spinWakePrefix(kChain, 1067, normalWaker(1000)), 3, 3);
+}
+
+TEST(SpinWakePrefix, EarlyPhase0WakerPrecedesTheWholeTick)
+{
+    const EventOrder early{/*insertTick=*/1, false, /*phase0=*/true};
+    expectPrefix(spinWakePrefix(kChain, 1064, early), 2, 2);
+    expectPrefix(spinWakePrefix(kChain, 1066, early), 3, 2);
+}
+
+TEST(SpinWakePrefix, NormalPhaseTiesAreCountedAndResolvedChainFirst)
+{
+    // Waker and chain event scheduled in the same tick by normal
+    // events: nothing recorded orders them.
+    expectPrefix(spinWakePrefix(kChain, 1000, normalWaker(970)), 1, 0,
+                 true);
+    expectPrefix(spinWakePrefix(kChain, 1066, normalWaker(1064)), 3, 3,
+                 true);
+    // A same-tick phase-0 waker runs right after its unknown inserter.
+    expectPrefix(spinWakePrefix(kChain, 1066, EventOrder{1066, true,
+                                                         true}),
+                 3, 3, true);
+}
+
+TEST(SpinWakePrefix, MillionPeriodSpin)
+{
+    const std::uint64_t k = 2'000'000;
+    const Tick lk = kChain.pollTick(k);
+    EXPECT_EQ(lk, 1000u + 32u * (k - 1));
+    expectPrefix(spinWakePrefix(kChain, lk + 7, normalWaker(lk)), k, k);
+    expectPrefix(spinWakePrefix(kChain, lk + 2, normalWaker(lk - 1)), k,
+                 k - 1);
+    expectPrefix(spinWakePrefix(kChain, lk, normalWaker(lk)), k, k - 1);
+}
+
+TEST(SpinWakePrefix, PrefixBeforeATickExcludesThatTick)
+{
+    expectPrefix(spinPrefixBefore(kChain, 0), 0, 0);
+    expectPrefix(spinPrefixBefore(kChain, 1000), 0, 0);
+    expectPrefix(spinPrefixBefore(kChain, 1002), 1, 0);
+    expectPrefix(spinPrefixBefore(kChain, 1003), 1, 1);
+    expectPrefix(spinPrefixBefore(kChain, 1032), 1, 1);
+}
+
+// ---- Spin elision: end to end --------------------------------------
+
+TEST(SpinElision, ParkedRunsMatchUnelidedRuns)
+{
+    // The conformance observer disables parking and observes nothing
+    // that changes a run, so with it on every poll executes: the
+    // deterministic document must not move. PubSub at 64 nodes has
+    // resumed chain events sharing their tick with other events, so
+    // it also checks that they resume in their original position.
+    struct Case
+    {
+        const char *workload;
+        unsigned nodes;
+        const char *config;
+        double scale;
+    };
+    const Case cases[] = {
+        {"PCmicro", 16, "base", 0.2}, {"PCmicro", 16, "large", 0.2},
+        {"em3d", 16, "base", 0.2},    {"em3d", 16, "large", 0.2},
+        {"KVServe", 16, "base", 0.2}, {"KVServe", 16, "large", 0.2},
+        {"PubSub", 64, "base", 1.0},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(std::string(c.workload) + "/" + c.config);
+        MachineConfig cfg;
+        std::string name;
+        ASSERT_TRUE(
+            runner::namedMachineConfig(c.config, c.nodes, cfg, name));
+        auto wl = runner::makeRunnerWorkload(c.workload, c.nodes, c.scale);
+        const RunResult parked = runWorkload(cfg, *wl, name);
+        cfg.proto.conformanceEnabled = true;
+        RunResult spun = runWorkload(cfg, *wl, name);
+        spun.conformance.clear();
+        EXPECT_GT(parked.perf.spinParks, 0u);
+        EXPECT_GT(parked.perf.eventsElided, 0u);
+        EXPECT_EQ(parked.perf.spinWakeTies, 0u);
+        EXPECT_EQ(spun.perf.spinParks, 0u);
+        EXPECT_EQ(spun.perf.eventsElided, 0u);
+        EXPECT_EQ(runner::toJson(parked).dump(2),
+                  runner::toJson(spun).dump(2));
+    }
 }

@@ -430,3 +430,94 @@ TEST(EventQueue, PeekNextTickSeesBothPhases)
     eq.run();
     EXPECT_FALSE(eq.peekNextTick(when));
 }
+
+TEST(EventQueue, ScheduleAsTakesItsInsertTickPosition)
+{
+    EventQueue eq;
+    std::vector<char> order;
+    eq.schedule(100, [&]() { order.push_back('a'); }); // inserted at 0
+    eq.schedule(10, [&]() {
+        eq.schedule(100, [&]() { order.push_back('b'); });
+    });
+    eq.schedule(20, [&]() {
+        eq.schedule(100, [&]() { order.push_back('c'); });
+    });
+    eq.schedule(30, [&]() {
+        // Between b (10) and c (20); an equal insert tick goes last.
+        eq.scheduleAs(100, 15, [&]() { order.push_back('x'); });
+        eq.scheduleAs(100, 10, [&]() { order.push_back('y'); });
+        eq.scheduleAs(100, 30, [&]() { order.push_back('z'); });
+    });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<char>{'a', 'b', 'y', 'x', 'c', 'z'}));
+}
+
+TEST(EventQueue, ScheduleAsKeepsItsPositionAcrossWindows)
+{
+    EventQueue eq;
+    std::vector<char> order;
+    eq.schedule(10000, [&]() { order.push_back('a'); });
+    eq.schedule(50, [&]() {
+        eq.schedule(10000, [&]() { order.push_back('c'); });
+    });
+    eq.schedule(100, [&]() {
+        eq.scheduleAs(10000, 20, [&]() { order.push_back('b'); });
+    });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<char>{'a', 'b', 'c'}));
+    EXPECT_EQ(eq.stats().scheduled, 5u);
+}
+
+TEST(EventQueueDeath, ScheduleAsFromTheFuturePanics)
+{
+    EventQueue eq;
+    EXPECT_DEATH(eq.scheduleAs(10, 5, []() {}), "scheduleAs");
+}
+
+TEST(EventQueue, RunningOrderReportsInsertTickAndPhases)
+{
+    EventQueue eq;
+    std::vector<EventOrder> seen;
+    const auto record = [&]() { seen.push_back(eq.runningOrder()); };
+    eq.schedule(5, [&]() {
+        record();
+        // Early phase-0 event at 20 whose children inherit the bit.
+        eq.schedulePhase0(20, [&]() {
+            record();
+            eq.schedule(30, record);
+            // Same-tick phase-0 runs after some normal events, so its
+            // children do not inherit the bit.
+            eq.schedulePhase0(20, [&]() {
+                record();
+                eq.schedule(40, record);
+            });
+        });
+    });
+    eq.run();
+    ASSERT_EQ(seen.size(), 5u);
+    EXPECT_EQ(seen[0].insertTick, 0u);
+    EXPECT_FALSE(seen[0].phase0);
+    EXPECT_EQ(seen[1].insertTick, 5u);
+    EXPECT_TRUE(seen[1].phase0);
+    EXPECT_FALSE(seen[1].inserterPhase0);
+    EXPECT_EQ(seen[2].insertTick, 20u); // the same-tick phase-0 event
+    EXPECT_TRUE(seen[2].phase0);
+    EXPECT_TRUE(seen[2].inserterPhase0);
+    EXPECT_EQ(seen[3].insertTick, 20u); // tick 30, from the early one
+    EXPECT_FALSE(seen[3].phase0);
+    EXPECT_TRUE(seen[3].inserterPhase0);
+    EXPECT_EQ(seen[4].insertTick, 20u); // tick 40, from the late one
+    EXPECT_FALSE(seen[4].inserterPhase0);
+}
+
+TEST(EventQueue, CreditElidedCountsModelEvents)
+{
+    EventQueue eq;
+    eq.schedule(1, []() {});
+    eq.run();
+    eq.creditElided(7);
+    EXPECT_EQ(eq.stats().executed, 8u);
+    EXPECT_EQ(eq.stats().scheduled, 8u);
+    EXPECT_EQ(eq.stats().inlineCallbacks, 8u);
+    EXPECT_EQ(eq.stats().elided, 7u);
+}

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "harness.hh"
+#include "src/runner/job.hh"
+#include "src/runner/results.hh"
+#include "src/runner/runner.hh"
 #include "src/workload/micro.hh"
 
 using namespace pcsim;
@@ -84,6 +90,27 @@ TEST(SystemDeath, WorkloadCpuMismatchIsFatal)
     EXPECT_DEATH(sys.run(wl), "CPUs");
 }
 
+TEST(SystemDeath, ZeroBarrierSpinDelayIsRejected)
+{
+    MachineConfig m = presets::base(4);
+    m.barrierSpinDelay = 0;
+    EXPECT_DEATH({ System sys(m); },
+                 "invalid machine configuration: barrierSpinDelay must "
+                 "be at least 1");
+}
+
+TEST(SystemDeath, ZeroL1HitLatencyIsRejected)
+{
+    MachineConfig m = presets::base(4);
+    m.proto.l1.hitLatency = 0;
+    EXPECT_EQ(m.proto.validateError(),
+              "l1.hitLatency must be at least 1 (a zero-latency hit "
+              "completes in the tick of the load that issued it)");
+    EXPECT_DEATH({ System sys(m); },
+                 "invalid protocol configuration: l1.hitLatency must be "
+                 "at least 1");
+}
+
 TEST(SystemTest, NodeCountIsConfigurable)
 {
     for (unsigned n : {1u, 2u, 4u, 8u, 16u}) {
@@ -157,4 +184,86 @@ TEST(MessageNames, ToStringContainsTypeAndAddr)
     const std::string s = m.toString();
     EXPECT_NE(s.find("Delegate"), std::string::npos);
     EXPECT_NE(s.find("abc00"), std::string::npos);
+}
+
+namespace
+{
+
+/** The jobs of `pcsim run --workload em3d,mg --config base,small
+ *  --scale 0.25` (tests/golden/run_reference.json). */
+runner::JobSet
+runReferenceJobs()
+{
+    runner::JobSet set;
+    for (const char *workload : {"em3d", "mg"}) {
+        for (const char *config : {"base", "small"}) {
+            runner::Job j;
+            j.workload = runner::canonicalWorkload(workload);
+            EXPECT_TRUE(runner::namedMachineConfig(config, 16, j.cfg,
+                                                   j.configName));
+            j.cfg.proto.checkerEnabled = false;
+            j.seed = 1;
+            j.scale = 0.25;
+            set.add(std::move(j));
+        }
+    }
+    return set;
+}
+
+} // namespace
+
+TEST(SpinElision, ReproducesRunReference)
+{
+    runner::RunnerOptions opts;
+    opts.threads = 2;
+    opts.progress = false;
+    const auto results = runner::runJobs(runReferenceJobs(), opts);
+    std::uint64_t polls_elided = 0, ties = 0;
+    for (const auto &r : results) {
+        ASSERT_TRUE(r.ok) << r.error;
+        polls_elided += r.result.perf.spinPollsElided;
+        ties += r.result.perf.spinWakeTies;
+    }
+    EXPECT_GT(polls_elided, 0u);
+    EXPECT_EQ(ties, 0u);
+
+    std::ifstream in(std::string(PCSIM_SOURCE_DIR) +
+                     "/tests/golden/run_reference.json");
+    std::ostringstream want;
+    want << in.rdbuf();
+    ASSERT_FALSE(want.str().empty()) << "golden file missing";
+    EXPECT_EQ(runner::resultsToJson(results, /*with_timing=*/false)
+                      .dump(2) +
+                  "\n",
+              want.str());
+}
+
+TEST(SpinElision, StatsResetWhileParkedMatchesUnelidedRun)
+{
+    // Em3D and MG work between their first two barriers, so no CPU is
+    // parked at their generation-1 reset; in PCmicro and CG some are.
+    // The reset must settle their elided polls before zeroing the
+    // counters: the run must equal the unelided one (the conformance
+    // observer disables parking and changes nothing else).
+    for (const char *workload : {"PCmicro", "CG"}) {
+        SCOPED_TRACE(workload);
+        MachineConfig cfg;
+        std::string name;
+        ASSERT_TRUE(runner::namedMachineConfig("base", 16, cfg, name));
+
+        System parked(cfg);
+        auto wl = runner::makeRunnerWorkload(workload, 16, 0.2);
+        RunResult r = parked.run(*wl);
+        r.config = name;
+        EXPECT_GT(parked.barrier().spinStats().settled, 0u);
+        EXPECT_GT(r.perf.spinPollsElided, 0u);
+        EXPECT_EQ(r.perf.spinWakeTies, 0u);
+
+        cfg.proto.conformanceEnabled = true;
+        RunResult spun = runWorkload(cfg, *wl, name);
+        spun.conformance.clear();
+        EXPECT_EQ(spun.perf.spinParks, 0u);
+        EXPECT_EQ(runner::toJson(r).dump(2),
+                  runner::toJson(spun).dump(2));
+    }
 }
