@@ -6,13 +6,23 @@
  * replacement (LRU or random). The number of sets need not be a power
  * of two, which lets us model the "equal silicon area" 1.04 MB L2 of
  * Figure 8 exactly.
+ *
+ * Storage is committed lazily, one group of setsPerGroup consecutive
+ * sets at a time, on the first allocate() that lands in the group. A
+ * 256-node machine touches a few dozen lines per node out of a 2 MB
+ * L2 and an 8k-entry directory cache, so building it costs what the
+ * run touches, not nodes x capacity (DESIGN.md "Lazy node storage").
+ * Uncommitted groups read as all-invalid sets, so lookups, victims,
+ * visit order and RNG draws are those of an eagerly built array.
  */
 
 #ifndef PCSIM_CACHE_CACHE_ARRAY_HH
 #define PCSIM_CACHE_CACHE_ARRAY_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -50,6 +60,11 @@ class CacheArray
         EntryT data{};
     };
 
+    /** Sets committed together on first allocation. Small groups
+     *  keep first-touch zeroing cheap; the group table adds one
+     *  pointer per group. */
+    static constexpr std::size_t setsPerGroup = 8;
+
     CacheArray(std::string name, std::size_t num_sets, std::size_t ways,
                std::uint32_t line_bytes, ReplPolicy policy, Rng rng)
         : _name(std::move(name)),
@@ -58,7 +73,7 @@ class CacheArray
           _lineBytes(line_bytes),
           _policy(policy),
           _rng(rng),
-          _slots(num_sets * ways)
+          _groups((num_sets + setsPerGroup - 1) / setsPerGroup)
     {
         if (num_sets == 0 || ways == 0 || line_bytes == 0)
             fatal("%s: bad cache geometry", _name.c_str());
@@ -123,7 +138,7 @@ class CacheArray
             return &hit->data;
         }
 
-        Slot *set = setBase(line);
+        Slot *set = commitSet(line);
         Slot *victim = nullptr;
         // Prefer an invalid slot.
         for (std::size_t w = 0; w < _ways; ++w) {
@@ -163,30 +178,28 @@ class CacheArray
     void
     forEach(const std::function<void(Addr, EntryT &)> &fn)
     {
-        for (auto &slot : _slots) {
+        forEachSlot([&](Slot &slot) {
             if (slot.valid)
                 fn(slot.addr, slot.data);
-        }
+        });
     }
 
     void
     forEach(const std::function<void(Addr, const EntryT &)> &fn) const
     {
-        for (const auto &slot : _slots) {
+        forEachSlot([&](const Slot &slot) {
             if (slot.valid)
                 fn(slot.addr, slot.data);
-        }
+        });
     }
 
     /** Number of valid lines in the set @p a maps to. */
     std::size_t
     setOccupancy(Addr a) const
     {
-        const Addr line = lineAlign(a);
-        const Slot *set =
-            &_slots[setIndex(line) * _ways];
+        const Slot *set = setBase(lineAlign(a));
         std::size_t n = 0;
-        for (std::size_t w = 0; w < _ways; ++w)
+        for (std::size_t w = 0; set && w < _ways; ++w)
             n += set[w].valid ? 1 : 0;
         return n;
     }
@@ -196,20 +209,29 @@ class CacheArray
     occupancy() const
     {
         std::size_t n = 0;
-        for (const auto &slot : _slots)
-            n += slot.valid ? 1 : 0;
+        forEachSlot([&](const Slot &slot) { n += slot.valid ? 1 : 0; });
         return n;
     }
 
-    /** Drop everything. */
+    /** Drop everything (committed groups stay committed). */
     void
     clear()
     {
-        for (auto &slot : _slots) {
+        forEachSlot([](Slot &slot) {
             slot.valid = false;
             slot.addr = invalidAddr;
             slot.data = EntryT{};
-        }
+        });
+    }
+
+    /** Groups of setsPerGroup sets whose storage has been committed. */
+    std::size_t
+    committedGroups() const
+    {
+        std::size_t n = 0;
+        for (const auto &g : _groups)
+            n += g ? 1 : 0;
+        return n;
     }
 
   private:
@@ -219,13 +241,57 @@ class CacheArray
         return static_cast<std::size_t>((line / _lineBytes) % _numSets);
     }
 
-    Slot *setBase(Addr line) { return &_slots[setIndex(line) * _ways]; }
+    /** Sets in group @p g (only the last group can be short). */
+    std::size_t
+    groupSets(std::size_t g) const
+    {
+        return std::min(setsPerGroup, _numSets - g * setsPerGroup);
+    }
+
+    /** First slot of the set @p line maps to, or nullptr while its
+     *  group is uncommitted (every slot of it reads invalid). Const
+     *  callers only read through the pointer. */
+    Slot *
+    setBase(Addr line) const
+    {
+        const std::size_t set = setIndex(line);
+        Slot *group = _groups[set / setsPerGroup].get();
+        return group ? group + (set % setsPerGroup) * _ways : nullptr;
+    }
+
+    /** setBase(), committing the group first if needed. */
+    Slot *
+    commitSet(Addr line)
+    {
+        const std::size_t set = setIndex(line);
+        const std::size_t g = set / setsPerGroup;
+        if (!_groups[g])
+            _groups[g] = std::make_unique<Slot[]>(groupSets(g) * _ways);
+        return _groups[g].get() + (set % setsPerGroup) * _ways;
+    }
+
+    /** Visit every committed slot in flat slot order. */
+    template <typename Fn>
+    void
+    forEachSlot(Fn &&fn) const
+    {
+        for (std::size_t g = 0; g < _groups.size(); ++g) {
+            Slot *group = _groups[g].get();
+            if (!group)
+                continue;
+            const std::size_t n = groupSets(g) * _ways;
+            for (std::size_t i = 0; i < n; ++i)
+                fn(group[i]);
+        }
+    }
 
     Slot *
     findSlot(Addr a)
     {
         const Addr line = lineAlign(a);
         Slot *set = setBase(line);
+        if (!set)
+            return nullptr;
         for (std::size_t w = 0; w < _ways; ++w) {
             if (set[w].valid && set[w].addr == line)
                 return &set[w];
@@ -265,7 +331,8 @@ class CacheArray
     std::uint32_t _lineBytes;
     ReplPolicy _policy;
     Rng _rng;
-    std::vector<Slot> _slots;
+    /** Per-group storage, null until the group's first allocation. */
+    std::vector<std::unique_ptr<Slot[]>> _groups;
     std::uint64_t _useClock = 0;
 };
 

@@ -97,24 +97,14 @@ class DirectoryStore
 {
   public:
     /**
-     * @param expected_lines sizing hint: lines this home is expected
-     *        to own over a run. The bucket array is pre-reserved (a
-     *        few bytes per bucket -- entries themselves still allocate
-     *        on first touch) and the load factor capped, so the table
-     *        never rehashes mid-run and pollutes the kernel telemetry
-     *        with reallocation pauses.
      * @param sharer_granularity_log2 coarse-vector granularity
      *        imprinted on every entry created here (0 = exact, one
      *        bit per node); copies of these entries carry it through
      *        the rest of the protocol stack.
      */
-    explicit DirectoryStore(std::size_t expected_lines = 0,
-                            unsigned sharer_granularity_log2 = 0)
+    explicit DirectoryStore(unsigned sharer_granularity_log2 = 0)
         : _granularityLog2(sharer_granularity_log2)
     {
-        _entries.max_load_factor(0.7f);
-        if (expected_lines)
-            _entries.reserve(expected_lines);
     }
 
     /** Fetch (creating Unowned on first touch). */
@@ -141,14 +131,6 @@ class DirectoryStore
     }
 
     std::size_t size() const { return _entries.size(); }
-
-    template <typename Fn>
-    void
-    forEach(Fn &&fn) const
-    {
-        for (const auto &[line, e] : _entries)
-            fn(line, e);
-    }
 
   private:
     unsigned _granularityLog2;

@@ -1,6 +1,7 @@
 #include "src/net/network.hh"
 
 #include <algorithm>
+#include <functional>
 
 #include "src/net/faults.hh"
 #include "src/sim/kernel.hh"
@@ -171,10 +172,14 @@ Network::insertArrival(const RouteEntry &e)
     _arrivals[dst].push(e);
     // One phase-0 drain per distinct (node, arrival tick): the event
     // count is a function of content, never of insertion order.
-    if (_drainArmed[dst].insert(e.arrive).second) {
-        _nodeQueue[dst]->schedulePhase0(
-            e.arrive, [this, dst]() { drainArrivals(dst); });
-    }
+    std::vector<Tick> &armed = _drainArmed[dst];
+    const auto it = std::lower_bound(armed.begin(), armed.end(),
+                                     e.arrive, std::greater<Tick>());
+    if (it != armed.end() && *it == e.arrive)
+        return;
+    armed.insert(it, e.arrive);
+    _nodeQueue[dst]->schedulePhase0(
+        e.arrive, [this, dst]() { drainArrivals(dst); });
 }
 
 void
@@ -182,7 +187,11 @@ Network::drainArrivals(NodeId dst)
 {
     EventQueue &q = *_nodeQueue[dst];
     const Tick now = q.curTick();
-    _drainArmed[dst].erase(now);
+    std::vector<Tick> &armed = _drainArmed[dst];
+    if (armed.empty() || armed.back() != now)
+        panic("drain at node %u, tick %llu: not the earliest armed tick",
+              dst, (unsigned long long)now);
+    armed.pop_back();
     ArrivalHeap &heap = _arrivals[dst];
     MessageHandler *handler = _handlers[dst];
     while (!heap.empty() && heap.top().arrive == now) {

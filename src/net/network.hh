@@ -34,7 +34,6 @@
 #include <memory>
 #include <queue>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/net/message.hh"
@@ -240,10 +239,12 @@ class Network : public SimObject
      *  numbering never depends on the global send interleaving). */
     std::vector<std::uint64_t> _srcSeq;
 
-    /** Per-destination-node in-flight arrivals and the set of ticks
-     *  with an armed phase-0 drain event. */
+    /** Per-destination-node in-flight arrivals, and the distinct
+     *  ticks with an armed phase-0 drain event, sorted descending:
+     *  a node's drains run in tick order, so each retires the
+     *  smallest armed tick with a pop_back. */
     std::vector<ArrivalHeap> _arrivals;
-    std::vector<std::unordered_set<Tick>> _drainArmed;
+    std::vector<std::vector<Tick>> _drainArmed;
 
     /** Cross-shard channels, indexed src_shard * S + dst_shard; the
      *  source worker appends during a window, the destination worker

@@ -114,9 +114,6 @@ struct ProtocolConfig
     // Memory.
     DramConfig dram;
     DirectoryCacheConfig dirCache;
-    /** Expected lines homed per node: pre-reserves the backing
-     *  DirectoryStore hash table so it never rehashes mid-run. */
-    std::size_t dirReserveLines = 1 << 15;
 
     /**
      * @name NACK retry behaviour (src/protocol/backoff.hh).

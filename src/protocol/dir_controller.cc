@@ -24,7 +24,7 @@ namespace pcsim
 DirController::DirController(Hub &hub, Rng rng)
     : _hub(hub),
       _cfg(hub.cfg()),
-      _store(_cfg.dirReserveLines, _cfg.sharerGranularityLog2),
+      _store(_cfg.sharerGranularityLog2),
       _dirCache(_cfg.dirCache, _store, rng.fork()),
       _dram(_cfg.dram),
       _rng(rng.fork()),

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/cache/cache_array.hh"
@@ -177,3 +180,275 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::make_tuple(1, 1), std::make_tuple(1, 4),
                       std::make_tuple(8, 2), std::make_tuple(13, 4),
                       std::make_tuple(64, 4), std::make_tuple(256, 8)));
+
+TEST(CacheArray, FindMissCommitsNothing)
+{
+    // 32 sets = four groups; nothing is committed until an allocate.
+    auto c = makeArray(32, 2);
+    const std::size_t group = CacheArray<Payload>::setsPerGroup;
+    EXPECT_EQ(c.committedGroups(), 0u);
+    EXPECT_EQ(c.find(0x1000), nullptr);
+    EXPECT_EQ(std::as_const(c).find(0x1000), nullptr);
+    EXPECT_EQ(c.setOccupancy(0x1000), 0u);
+    EXPECT_FALSE(c.invalidate(0x1000));
+    EXPECT_EQ(c.occupancy(), 0u);
+    c.forEach([](Addr, Payload &) { ADD_FAILURE(); });
+    c.clear();
+    EXPECT_EQ(c.committedGroups(), 0u);
+
+    c.allocate(0); // set 0, group 0
+    EXPECT_EQ(c.committedGroups(), 1u);
+    c.allocate((group - 1) * 128); // last set of group 0
+    EXPECT_EQ(c.committedGroups(), 1u);
+    c.allocate(group * 128); // first set of group 1
+    EXPECT_EQ(c.committedGroups(), 2u);
+    EXPECT_EQ(c.find(3 * group * 128), nullptr); // group 3 untouched
+    EXPECT_EQ(c.committedGroups(), 2u);
+    c.clear(); // committed storage stays committed
+    EXPECT_EQ(c.committedGroups(), 2u);
+    EXPECT_EQ(c.occupancy(), 0u);
+}
+
+namespace
+{
+
+/**
+ * Eager reference model: one flat, fully built slot vector with the
+ * same tag, recency and replacement rules as CacheArray.
+ */
+class EagerArray
+{
+  public:
+    EagerArray(std::size_t sets, std::size_t ways, ReplPolicy pol,
+               Rng rng)
+        : _sets(sets), _ways(ways), _policy(pol), _rng(rng),
+          _slots(sets * ways)
+    {
+    }
+
+    Payload *
+    find(Addr a, bool touch)
+    {
+        Slot *s = findSlot(a);
+        if (!s)
+            return nullptr;
+        if (touch)
+            s->lastUse = ++_clock;
+        return &s->data;
+    }
+
+    Payload *
+    allocate(Addr a, bool respect_pins, Addr &evicted)
+    {
+        const Addr line = a - a % kLine;
+        if (Slot *hit = findSlot(line)) {
+            hit->lastUse = ++_clock;
+            return &hit->data;
+        }
+        Slot *set = setBase(line);
+        Slot *victim = nullptr;
+        for (std::size_t w = 0; w < _ways && !victim; ++w) {
+            if (!set[w].valid)
+                victim = &set[w];
+        }
+        if (!victim) {
+            victim = pickVictim(set, respect_pins);
+            if (!victim)
+                return nullptr;
+            evicted = victim->addr;
+        }
+        *victim = Slot{true, line, ++_clock, Payload{}};
+        return &victim->data;
+    }
+
+    bool
+    invalidate(Addr a)
+    {
+        Slot *s = findSlot(a);
+        if (!s)
+            return false;
+        *s = Slot{};
+        return true;
+    }
+
+    void
+    clear()
+    {
+        for (Slot &s : _slots)
+            s = Slot{};
+    }
+
+    std::vector<std::pair<Addr, int>>
+    contents() const
+    {
+        std::vector<std::pair<Addr, int>> out;
+        for (const Slot &s : _slots) {
+            if (s.valid)
+                out.emplace_back(s.addr, s.data.value);
+        }
+        return out;
+    }
+
+    std::size_t
+    setOccupancy(Addr a)
+    {
+        const Slot *set = setBase(a - a % kLine);
+        std::size_t n = 0;
+        for (std::size_t w = 0; w < _ways; ++w)
+            n += set[w].valid ? 1 : 0;
+        return n;
+    }
+
+  private:
+    static constexpr Addr kLine = 128;
+
+    struct Slot
+    {
+        bool valid = false;
+        Addr addr = invalidAddr;
+        std::uint64_t lastUse = 0;
+        Payload data{};
+    };
+
+    Slot *
+    setBase(Addr line)
+    {
+        return &_slots[(line / kLine) % _sets * _ways];
+    }
+
+    Slot *
+    findSlot(Addr a)
+    {
+        const Addr line = a - a % kLine;
+        Slot *set = setBase(line);
+        for (std::size_t w = 0; w < _ways; ++w) {
+            if (set[w].valid && set[w].addr == line)
+                return &set[w];
+        }
+        return nullptr;
+    }
+
+    Slot *
+    pickVictim(Slot *set, bool respect_pins)
+    {
+        auto evictable = [&](const Slot &s) {
+            return !respect_pins || !s.data.pinned;
+        };
+        if (_policy == ReplPolicy::Random) {
+            const std::size_t start = _rng.below(_ways);
+            for (std::size_t i = 0; i < _ways; ++i) {
+                Slot *s = &set[(start + i) % _ways];
+                if (evictable(*s))
+                    return s;
+            }
+            return nullptr;
+        }
+        Slot *best = nullptr;
+        for (std::size_t w = 0; w < _ways; ++w) {
+            Slot *s = &set[w];
+            if (evictable(*s) && (!best || s->lastUse < best->lastUse))
+                best = s;
+        }
+        return best;
+    }
+
+    std::size_t _sets;
+    std::size_t _ways;
+    ReplPolicy _policy;
+    Rng _rng;
+    std::vector<Slot> _slots;
+    std::uint64_t _clock = 0;
+};
+
+std::vector<std::pair<Addr, int>>
+contentsOf(const CacheArray<Payload> &c)
+{
+    std::vector<std::pair<Addr, int>> out;
+    c.forEach(
+        [&](Addr a, const Payload &p) { out.emplace_back(a, p.value); });
+    return out;
+}
+
+} // namespace
+
+// Differential test: the lazily committed array must be
+// indistinguishable from an eagerly built one under seeded random
+// allocate / find / invalidate / clear streams -- same hits, same
+// victims (LRU clock and Random draws), same visit order and counts.
+class CacheArrayLazyVsEager
+    : public ::testing::TestWithParam<
+          std::tuple<std::size_t, std::size_t, ReplPolicy>>
+{
+};
+
+TEST_P(CacheArrayLazyVsEager, SameObservableBehaviour)
+{
+    const auto [sets, ways, pol] = GetParam();
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+        SCOPED_TRACE(seed);
+        CacheArray<Payload> lazy("lazy", sets, ways, 128, pol,
+                                 Rng(seed));
+        EagerArray eager(sets, ways, pol, Rng(seed));
+        Rng ops(seed * 7919);
+        // Twice the capacity in distinct lines forces evictions.
+        const std::uint64_t lines = 2 * sets * ways;
+        const int steps = static_cast<int>(6 * sets * ways) + 2000;
+        for (int i = 0; i < steps; ++i) {
+            const Addr a = ops.below(lines) * 128 + ops.below(128);
+            const std::uint64_t op = ops.below(100);
+            if (op < 45) {
+                const bool pins = ops.below(2) == 0;
+                Addr ev_lazy = invalidAddr;
+                Addr ev_eager = invalidAddr;
+                const std::function<bool(Addr, const Payload &)> unpinned =
+                    [](Addr, const Payload &v) { return !v.pinned; };
+                Payload *pl = lazy.allocate(
+                    a, pins ? unpinned : nullptr,
+                    [&](Addr v, Payload &) { ev_lazy = v; });
+                Payload *pe = eager.allocate(a, pins, ev_eager);
+                ASSERT_EQ(pl == nullptr, pe == nullptr) << "step " << i;
+                ASSERT_EQ(ev_lazy, ev_eager) << "step " << i;
+                if (pl) {
+                    pl->value = pe->value = i;
+                    pl->pinned = pe->pinned = ops.below(10) == 0;
+                }
+            } else if (op < 85) {
+                const bool touch = ops.below(2) == 0;
+                Payload *pl = lazy.find(a, touch);
+                Payload *pe = eager.find(a, touch);
+                ASSERT_EQ(pl == nullptr, pe == nullptr) << "step " << i;
+                if (pl) {
+                    ASSERT_EQ(pl->value, pe->value) << "step " << i;
+                }
+            } else if (op < 99) {
+                ASSERT_EQ(lazy.invalidate(a), eager.invalidate(a))
+                    << "step " << i;
+            } else if (ops.below(20) == 0) {
+                lazy.clear();
+                eager.clear();
+            }
+            ASSERT_EQ(lazy.setOccupancy(a), eager.setOccupancy(a))
+                << "step " << i;
+            if (i % 256 == 0 || i == steps - 1) {
+                const auto expect = eager.contents();
+                ASSERT_EQ(contentsOf(lazy), expect) << "step " << i;
+                ASSERT_EQ(lazy.occupancy(), expect.size());
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheArrayLazyVsEager,
+    ::testing::Combine(
+        // Power of two; Figure 8's 1.04 MB L2 (2129 sets); a count
+        // that is not a multiple of the group size.
+        ::testing::Values(std::size_t(64), std::size_t(2129),
+                          std::size_t(13)),
+        ::testing::Values(std::size_t(4)),
+        ::testing::Values(ReplPolicy::LRU, ReplPolicy::Random)),
+    [](const auto &info) {
+        return "Sets" + std::to_string(std::get<0>(info.param)) +
+               (std::get<2>(info.param) == ReplPolicy::LRU ? "Lru"
+                                                           : "Random");
+    });

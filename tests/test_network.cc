@@ -7,6 +7,7 @@
 #include "src/net/network.hh"
 #include "src/net/topology.hh"
 #include "src/sim/event_queue.hh"
+#include "src/sim/kernel.hh"
 
 using namespace pcsim;
 
@@ -198,6 +199,100 @@ TEST_F(NetFixture, HopHistogram)
     eq.run();
     EXPECT_EQ(net.hopHistogram().bucket(1), 1u);
     EXPECT_EQ(net.hopHistogram().bucket(2), 2u);
+}
+
+// Drain bookkeeping: one phase-0 drain per distinct (node, arrival
+// tick), ejecting in (arrive, src, seq) order however the sends were
+// issued.
+
+TEST_F(NetFixture, SameTickArrivalsArmOneDrain)
+{
+    // Three one-hop requests sent at tick 0 all arrive at node 0 at
+    // tick 8 + 100; send them out of source order.
+    for (NodeId src : {3u, 1u, 2u})
+        net.send(msg(src, 0));
+    EXPECT_EQ(eq.numPending(), 1u); // a single armed drain
+    eq.run();
+    // One drain plus three deliveries.
+    EXPECT_EQ(eq.stats().executed, 4u);
+    ASSERT_EQ(sinks[0].got.size(), 3u);
+    for (unsigned i = 0; i < 3; ++i) {
+        EXPECT_EQ(sinks[0].got[i].msg.src, i + 1);
+        EXPECT_EQ(sinks[0].got[i].when, 108 + 8 * (i + 1));
+    }
+}
+
+TEST_F(NetFixture, OutOfOrderArrivalTicksDrainInTickOrder)
+{
+    // Arrival ticks at node 0, in send order: 208 (two hops), 108
+    // (one hop), 208 again (already armed) and 140 (a 160 B data
+    // message, between the two armed ticks).
+    net.send(msg(8, 0));
+    net.send(msg(1, 0));
+    net.send(msg(9, 0));
+    net.send(msg(2, 0, MsgType::RespSharedData));
+    EXPECT_EQ(eq.numPending(), 3u); // drains at 108, 140 and 208
+    eq.run();
+    EXPECT_EQ(eq.stats().executed, 3u + 4u);
+    ASSERT_EQ(sinks[0].got.size(), 4u);
+    const NodeId order[] = {1, 2, 8, 9};
+    const Tick when[] = {116, 180, 216, 224};
+    for (unsigned i = 0; i < 4; ++i) {
+        EXPECT_EQ(sinks[0].got[i].msg.src, order[i]);
+        EXPECT_EQ(sinks[0].got[i].when, when[i]);
+    }
+
+    // Bookkeeping is empty again: a later arrival at a tick already
+    // drained is a fresh tick and arms its own drain.
+    net.send(msg(1, 0));
+    EXPECT_EQ(eq.numPending(), 1u);
+    eq.run();
+    EXPECT_EQ(sinks[0].got.size(), 5u);
+}
+
+TEST(NetworkShards, FlushedArrivalsShareOneDrain)
+{
+    // 16 nodes, radix 8: nodes 0-7 on shard 0, 8-15 on shard 1.
+    SimKernel kernel(ShardMap::leafAligned(16, 8, 2), 1,
+                     1 + FatTreeTopology(16, 8)
+                             .minCrossLeafLatencyTicks(100));
+    ASSERT_EQ(kernel.numShards(), 2u);
+    Network net(kernel.queue(0), 16);
+    net.attachKernel(kernel);
+    Sink sinks[16];
+    for (NodeId n = 0; n < 16; ++n) {
+        sinks[n].eq = &kernel.queueForNode(n);
+        net.registerHandler(n, &sinks[n]);
+    }
+    Message m;
+    m.type = MsgType::ReqShared;
+    m.dst = 0;
+    // Cross-shard sends park in the channel until the flush.
+    for (NodeId src : {10u, 8u, 9u}) {
+        m.src = src;
+        net.send(m);
+    }
+    EXPECT_EQ(kernel.queue(0).numPending(), 0u);
+    net.flushShard(0);
+    EXPECT_EQ(kernel.queue(0).numPending(), 1u);
+    net.flushShard(0); // channels are empty now
+    EXPECT_EQ(kernel.queue(0).numPending(), 1u);
+
+    // A same-shard send arriving at the same tick (100 + 8 + 100 =
+    // 208) joins the armed drain and ejects first (lowest source).
+    kernel.queue(0).schedule(100, [&]() {
+        m.src = 1;
+        net.send(m);
+    });
+    kernel.run();
+    // The send, one drain and four deliveries.
+    EXPECT_EQ(kernel.queue(0).stats().executed, 6u);
+    ASSERT_EQ(sinks[0].got.size(), 4u);
+    const NodeId order[] = {1, 8, 9, 10};
+    for (unsigned i = 0; i < 4; ++i) {
+        EXPECT_EQ(sinks[0].got[i].msg.src, order[i]);
+        EXPECT_EQ(sinks[0].got[i].when, 208 + 8 * (i + 1));
+    }
 }
 
 TEST(NetworkConfigTest, HopLatencyScalesDelivery)
