@@ -7,6 +7,15 @@
  * of two, which lets us model the "equal silicon area" 1.04 MB L2 of
  * Figure 8 exactly.
  *
+ * Every coherence message probes one or more of these arrays, so the
+ * probe is kept short (DESIGN.md "Hot-path lookup structures"): the
+ * line size is a power of two, so aligning and indexing are a mask
+ * and a shift, and a power-of-two set count turns the set index into
+ * a mask too (other counts keep an exact modulo). Each set is one
+ * record, tags first: ways tags (invalidAddr marks an invalid way),
+ * then ways recency stamps, then the payloads. A probe scans ways x 8
+ * bytes; a hit adds the stamp beside them and its own payload.
+ *
  * Storage is committed lazily, one group of setsPerGroup consecutive
  * sets at a time, on the first allocate() that lands in the group. A
  * 256-node machine touches a few dozen lines per node out of a 2 MB
@@ -20,10 +29,14 @@
 #define PCSIM_CACHE_CACHE_ARRAY_HH
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <new>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/sim/logging.hh"
@@ -51,18 +64,10 @@ template <typename EntryT>
 class CacheArray
 {
   public:
-    /** A slot: management bits plus the user payload. */
-    struct Slot
-    {
-        bool valid = false;
-        Addr addr = invalidAddr; ///< line-aligned address
-        std::uint64_t lastUse = 0;
-        EntryT data{};
-    };
-
     /** Sets committed together on first allocation. Small groups
      *  keep first-touch zeroing cheap; the group table adds one
-     *  pointer per group. */
+     *  pointer per group. A power of two, so the group of a set is a
+     *  shift away. */
     static constexpr std::size_t setsPerGroup = 8;
 
     CacheArray(std::string name, std::size_t num_sets, std::size_t ways,
@@ -73,10 +78,31 @@ class CacheArray
           _lineBytes(line_bytes),
           _policy(policy),
           _rng(rng),
-          _groups((num_sets + setsPerGroup - 1) / setsPerGroup)
+          _groups((num_sets + setsPerGroup - 1) / setsPerGroup, nullptr)
     {
-        if (num_sets == 0 || ways == 0 || line_bytes == 0)
+        // A line size of at least 2 keeps invalidAddr (all ones) off
+        // every aligned tag, so it can mark an invalid way.
+        if (num_sets == 0 || ways == 0 || line_bytes < 2 ||
+            (line_bytes & (line_bytes - 1)) != 0)
             fatal("%s: bad cache geometry", _name.c_str());
+        _lineShift = static_cast<unsigned>(__builtin_ctz(line_bytes));
+        _pow2Sets = (num_sets & (num_sets - 1)) == 0;
+        // Set record: tags, stamps, payloads; padded to whole cache
+        // lines so a 4-way set's tags and stamps share one.
+        _dataOffset = roundUp(2 * ways * sizeof(Addr), alignof(EntryT));
+        _setBytes = roundUp(_dataOffset + ways * sizeof(EntryT), blockAlign);
+    }
+
+    CacheArray(const CacheArray &) = delete;
+    CacheArray &operator=(const CacheArray &) = delete;
+
+    ~CacheArray()
+    {
+        forEachSet([&](std::byte *set) {
+            std::destroy_n(dataOf(set), _ways);
+        });
+        for (std::byte *group : _groups)
+            ::operator delete(group, std::align_val_t{blockAlign});
     }
 
     std::uint32_t lineBytes() const { return _lineBytes; }
@@ -88,7 +114,7 @@ class CacheArray
     }
 
     /** Align a byte address down to its line. */
-    Addr lineAlign(Addr a) const { return a - (a % _lineBytes); }
+    Addr lineAlign(Addr a) const { return a & ~Addr(_lineBytes - 1); }
 
     /**
      * Look up @p a. Returns the payload or nullptr.
@@ -97,12 +123,19 @@ class CacheArray
     EntryT *
     find(Addr a, bool touch = true)
     {
-        Slot *slot = findSlot(a);
-        if (!slot)
+        const Addr line = lineAlign(a);
+        std::byte *set = setOf(line);
+        if (!set)
             return nullptr;
-        if (touch)
-            slot->lastUse = ++_useClock;
-        return &slot->data;
+        Addr *tags = tagsOf(set);
+        for (std::size_t w = 0; w < _ways; ++w) {
+            if (tags[w] == line) {
+                if (touch)
+                    usesOf(set)[w] = ++_useClock;
+                return &dataOf(set)[w];
+            }
+        }
+        return nullptr;
     }
 
     const EntryT *
@@ -115,92 +148,129 @@ class CacheArray
      * Allocate a slot for @p a, evicting if necessary.
      *
      * @param a            byte address (aligned internally).
-     * @param can_evict    predicate deciding whether a valid slot may
-     *                     be displaced (e.g. skip pinned RAC entries);
-     *                     pass nullptr to allow any.
+     * @param can_evict    predicate (addr, payload) deciding whether a
+     *                     valid slot may be displaced (e.g. skip
+     *                     pinned RAC entries); nullptr allows any.
      * @param on_evict     called with (addr, payload) of the victim
-     *                     before reuse.
+     *                     before reuse; nullptr for none.
      * @return payload pointer, or nullptr if the set is full and no
      *         slot is evictable.
      *
      * If @p a is already present its existing slot is returned.
      */
+    template <typename CanEvict = std::nullptr_t,
+              typename OnEvict = std::nullptr_t>
     EntryT *
-    allocate(Addr a,
-             const std::function<bool(Addr, const EntryT &)> &can_evict
-                 = nullptr,
-             const std::function<void(Addr, EntryT &)> &on_evict
-                 = nullptr)
+    allocate(Addr a, CanEvict &&can_evict = nullptr,
+             OnEvict &&on_evict = nullptr)
     {
         const Addr line = lineAlign(a);
-        if (Slot *hit = findSlot(line)) {
-            hit->lastUse = ++_useClock;
-            return &hit->data;
+        const std::size_t idx = setIndex(line);
+        std::byte *set = commitGroup(idx / setsPerGroup) +
+                         (idx % setsPerGroup) * _setBytes;
+        Addr *tags = tagsOf(set);
+        std::uint64_t *uses = usesOf(set);
+        EntryT *data = dataOf(set);
+
+        std::size_t free_way = _ways;
+        for (std::size_t w = 0; w < _ways; ++w) {
+            if (tags[w] == line) {
+                uses[w] = ++_useClock;
+                return &data[w];
+            }
+            if (tags[w] == invalidAddr && free_way == _ways)
+                free_way = w;
         }
 
-        Slot *set = commitSet(line);
-        Slot *victim = nullptr;
-        // Prefer an invalid slot.
-        for (std::size_t w = 0; w < _ways; ++w) {
-            if (!set[w].valid) {
-                victim = &set[w];
-                break;
-            }
-        }
-        if (!victim) {
-            victim = pickVictim(set, can_evict);
-            if (!victim)
+        std::size_t w = free_way;
+        if (w == _ways) {
+            w = pickVictim(tags, uses, data, can_evict);
+            if (w == _ways)
                 return nullptr;
-            if (on_evict)
-                on_evict(victim->addr, victim->data);
+            if constexpr (!isNull<OnEvict>)
+                on_evict(Addr{tags[w]}, data[w]);
         }
-        victim->valid = true;
-        victim->addr = line;
-        victim->lastUse = ++_useClock;
-        victim->data = EntryT{};
-        return &victim->data;
+        tags[w] = line;
+        uses[w] = ++_useClock;
+        data[w] = EntryT{};
+        return &data[w];
     }
 
-    /** Drop @p a if present. Returns true if it was present. */
+    /** Drop @p a if present. Returns true if it was present. The
+     *  payload is left as is: no probe reads an invalid way's payload,
+     *  and allocate() resets it on reuse. */
     bool
     invalidate(Addr a)
     {
-        Slot *slot = findSlot(a);
-        if (!slot)
-            return false;
-        slot->valid = false;
-        slot->addr = invalidAddr;
-        slot->data = EntryT{};
-        return true;
+        const Addr line = lineAlign(a);
+        std::byte *set = setOf(line);
+        return set && dropTag(tagsOf(set), line);
+    }
+
+    /**
+     * Invalidate every line that overlaps [@p base, @p base + @p bytes).
+     * @p base need not be line-aligned: a coherence line smaller than
+     * this array's line still drops the line that contains it.
+     * Consecutive lines map to consecutive sets, so the set index is
+     * stepped rather than recomputed per line.
+     */
+    void
+    invalidateRange(Addr base, Addr bytes)
+    {
+        if (bytes == 0)
+            return;
+        const Addr first = lineAlign(base);
+        std::size_t idx = setIndex(first);
+        for (Addr line = first; line < base + bytes; line += _lineBytes) {
+            if (std::byte *group = _groups[idx / setsPerGroup])
+                dropTag(tagsOf(group + (idx % setsPerGroup) * _setBytes),
+                        line);
+            if (++idx == _numSets)
+                idx = 0;
+        }
+    }
+
+    /**
+     * First valid way, in way order, of the set @p a maps to whose
+     * (addr, payload) satisfies @p pred; invalidAddr if none.
+     */
+    template <typename Pred>
+    Addr
+    firstInSet(Addr a, Pred &&pred)
+    {
+        std::byte *set = setOf(lineAlign(a));
+        if (!set)
+            return invalidAddr;
+        const Addr *tags = tagsOf(set);
+        for (std::size_t w = 0; w < _ways; ++w) {
+            if (tags[w] != invalidAddr &&
+                pred(tags[w], std::as_const(dataOf(set)[w])))
+                return tags[w];
+        }
+        return invalidAddr;
     }
 
     /** Visit every valid line: fn(addr, payload). */
     void
     forEach(const std::function<void(Addr, EntryT &)> &fn)
     {
-        forEachSlot([&](Slot &slot) {
-            if (slot.valid)
-                fn(slot.addr, slot.data);
-        });
+        forEachValid([&](Addr a, EntryT &e) { fn(a, e); });
     }
 
     void
     forEach(const std::function<void(Addr, const EntryT &)> &fn) const
     {
-        forEachSlot([&](const Slot &slot) {
-            if (slot.valid)
-                fn(slot.addr, slot.data);
-        });
+        forEachValid([&](Addr a, const EntryT &e) { fn(a, e); });
     }
 
     /** Number of valid lines in the set @p a maps to. */
     std::size_t
     setOccupancy(Addr a) const
     {
-        const Slot *set = setBase(lineAlign(a));
+        std::byte *set = setOf(lineAlign(a));
         std::size_t n = 0;
         for (std::size_t w = 0; set && w < _ways; ++w)
-            n += set[w].valid ? 1 : 0;
+            n += tagsOf(set)[w] != invalidAddr ? 1 : 0;
         return n;
     }
 
@@ -209,7 +279,7 @@ class CacheArray
     occupancy() const
     {
         std::size_t n = 0;
-        forEachSlot([&](const Slot &slot) { n += slot.valid ? 1 : 0; });
+        forEachValid([&](Addr, const EntryT &) { ++n; });
         return n;
     }
 
@@ -217,10 +287,8 @@ class CacheArray
     void
     clear()
     {
-        forEachSlot([](Slot &slot) {
-            slot.valid = false;
-            slot.addr = invalidAddr;
-            slot.data = EntryT{};
+        forEachSet([&](std::byte *set) {
+            std::fill_n(tagsOf(set), _ways, invalidAddr);
         });
     }
 
@@ -229,16 +297,35 @@ class CacheArray
     committedGroups() const
     {
         std::size_t n = 0;
-        for (const auto &g : _groups)
+        for (const std::byte *g : _groups)
             n += g ? 1 : 0;
         return n;
     }
 
   private:
+    template <typename F>
+    static constexpr bool isNull =
+        std::is_same_v<std::decay_t<F>, std::nullptr_t>;
+
+    /** Group blocks are aligned, and set records padded, to host
+     *  cache lines. */
+    static constexpr std::size_t blockAlign = 64;
+
+    static constexpr std::size_t
+    roundUp(std::size_t n, std::size_t to)
+    {
+        return (n + to - 1) / to * to;
+    }
+
+    static_assert(alignof(EntryT) <= blockAlign,
+                  "CacheArray payload alignment exceeds a cache line");
+
     std::size_t
     setIndex(Addr line) const
     {
-        return static_cast<std::size_t>((line / _lineBytes) % _numSets);
+        const Addr n = line >> _lineShift;
+        return static_cast<std::size_t>(_pow2Sets ? n & (_numSets - 1)
+                                                  : n % _numSets);
     }
 
     /** Sets in group @p g (only the last group can be short). */
@@ -248,79 +335,120 @@ class CacheArray
         return std::min(setsPerGroup, _numSets - g * setsPerGroup);
     }
 
-    /** First slot of the set @p line maps to, or nullptr while its
-     *  group is uncommitted (every slot of it reads invalid). Const
-     *  callers only read through the pointer. */
-    Slot *
-    setBase(Addr line) const
+    /** @name Views into one set record. */
+    /// @{
+    static Addr *
+    tagsOf(std::byte *set)
     {
-        const std::size_t set = setIndex(line);
-        Slot *group = _groups[set / setsPerGroup].get();
-        return group ? group + (set % setsPerGroup) * _ways : nullptr;
+        return reinterpret_cast<Addr *>(set);
+    }
+    std::uint64_t *usesOf(std::byte *set) const { return tagsOf(set) + _ways; }
+    EntryT *
+    dataOf(std::byte *set) const
+    {
+        return std::launder(reinterpret_cast<EntryT *>(set + _dataOffset));
+    }
+    /// @}
+
+    /** Record of the set @p line maps to, or nullptr while its group
+     *  is uncommitted (every way of it reads invalid). Const callers
+     *  only read through the pointer. */
+    std::byte *
+    setOf(Addr line) const
+    {
+        const std::size_t idx = setIndex(line);
+        std::byte *group = _groups[idx / setsPerGroup];
+        return group ? group + (idx % setsPerGroup) * _setBytes : nullptr;
     }
 
-    /** setBase(), committing the group first if needed. */
-    Slot *
-    commitSet(Addr line)
+    /** Mark @p line's way in a set invalid; false if absent. */
+    bool
+    dropTag(Addr *tags, Addr line) const
     {
-        const std::size_t set = setIndex(line);
-        const std::size_t g = set / setsPerGroup;
-        if (!_groups[g])
-            _groups[g] = std::make_unique<Slot[]>(groupSets(g) * _ways);
-        return _groups[g].get() + (set % setsPerGroup) * _ways;
+        for (std::size_t w = 0; w < _ways; ++w) {
+            if (tags[w] == line) {
+                tags[w] = invalidAddr;
+                return true;
+            }
+        }
+        return false;
     }
 
-    /** Visit every committed slot in flat slot order. */
+    /** The block of group @p g, committing it first if needed. */
+    std::byte *
+    commitGroup(std::size_t g)
+    {
+        if (!_groups[g]) {
+            auto *group = static_cast<std::byte *>(
+                ::operator new(groupSets(g) * _setBytes,
+                               std::align_val_t{blockAlign}));
+            for (std::size_t s = 0; s < groupSets(g); ++s) {
+                std::byte *set = group + s * _setBytes;
+                std::fill_n(tagsOf(set), _ways, invalidAddr);
+                std::fill_n(usesOf(set), _ways, std::uint64_t{0});
+                std::uninitialized_value_construct_n(dataOf(set), _ways);
+            }
+            _groups[g] = group;
+        }
+        return _groups[g];
+    }
+
+    /** Visit every committed set record, in set order. */
     template <typename Fn>
     void
-    forEachSlot(Fn &&fn) const
+    forEachSet(Fn &&fn) const
     {
         for (std::size_t g = 0; g < _groups.size(); ++g) {
-            Slot *group = _groups[g].get();
-            if (!group)
-                continue;
-            const std::size_t n = groupSets(g) * _ways;
-            for (std::size_t i = 0; i < n; ++i)
-                fn(group[i]);
+            for (std::size_t s = 0; _groups[g] && s < groupSets(g); ++s)
+                fn(_groups[g] + s * _setBytes);
         }
     }
 
-    Slot *
-    findSlot(Addr a)
+    /** Visit every valid way, in set and way order, as fn(addr, data). */
+    template <typename Fn>
+    void
+    forEachValid(Fn &&fn) const
     {
-        const Addr line = lineAlign(a);
-        Slot *set = setBase(line);
-        if (!set)
-            return nullptr;
-        for (std::size_t w = 0; w < _ways; ++w) {
-            if (set[w].valid && set[w].addr == line)
-                return &set[w];
-        }
-        return nullptr;
+        forEachSet([&](std::byte *set) {
+            for (std::size_t w = 0; w < _ways; ++w) {
+                if (tagsOf(set)[w] != invalidAddr)
+                    fn(Addr{tagsOf(set)[w]}, dataOf(set)[w]);
+            }
+        });
     }
 
-    Slot *
-    pickVictim(Slot *set,
-               const std::function<bool(Addr, const EntryT &)> &can_evict)
+    /** Replacement victim among a full set's ways; _ways if none may
+     *  be evicted. */
+    template <typename CanEvict>
+    std::size_t
+    pickVictim(const Addr *tags, const std::uint64_t *uses, EntryT *data,
+               CanEvict &can_evict)
     {
+        auto evictable = [&](std::size_t w) {
+            if constexpr (isNull<CanEvict>)
+                return true;
+            else
+                return static_cast<bool>(
+                    can_evict(Addr{tags[w]}, std::as_const(data[w])));
+        };
         if (_policy == ReplPolicy::Random) {
             // Random: up to `ways` probes starting at a random way.
-            const std::size_t start = _rng.below(_ways);
+            std::size_t w = static_cast<std::size_t>(_rng.below(_ways));
             for (std::size_t i = 0; i < _ways; ++i) {
-                Slot *s = &set[(start + i) % _ways];
-                if (!can_evict || can_evict(s->addr, s->data))
-                    return s;
+                if (evictable(w))
+                    return w;
+                if (++w == _ways)
+                    w = 0;
             }
-            return nullptr;
+            return _ways;
         }
         // LRU.
-        Slot *best = nullptr;
+        std::size_t best = _ways;
         for (std::size_t w = 0; w < _ways; ++w) {
-            Slot *s = &set[w];
-            if (can_evict && !can_evict(s->addr, s->data))
+            if (!evictable(w))
                 continue;
-            if (!best || s->lastUse < best->lastUse)
-                best = s;
+            if (best == _ways || uses[w] < uses[best])
+                best = w;
         }
         return best;
     }
@@ -329,10 +457,16 @@ class CacheArray
     std::size_t _numSets;
     std::size_t _ways;
     std::uint32_t _lineBytes;
+    unsigned _lineShift = 0;
+    bool _pow2Sets = false;
+    /** Byte offset of the payloads within, and size of, a set record. */
+    std::size_t _dataOffset = 0;
+    std::size_t _setBytes = 0;
     ReplPolicy _policy;
     Rng _rng;
-    /** Per-group storage, null until the group's first allocation. */
-    std::vector<std::unique_ptr<Slot[]>> _groups;
+    /** Per-group blocks of set records, null until the group's first
+     *  allocation. */
+    std::vector<std::byte *> _groups;
     std::uint64_t _useClock = 0;
 };
 

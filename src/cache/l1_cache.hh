@@ -65,10 +65,7 @@ class L1Cache
     void
     invalidateRange(Addr l2_line, std::uint32_t l2_line_bytes)
     {
-        for (Addr a = l2_line; a < l2_line + l2_line_bytes;
-             a += _cfg.lineBytes) {
-            _array.invalidate(a);
-        }
+        _array.invalidateRange(l2_line, l2_line_bytes);
     }
 
   private:

@@ -12,7 +12,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <memory>
+#include <vector>
 
 #include "src/net/message.hh"
 #include "src/sim/types.hh"
@@ -86,46 +87,84 @@ struct Mshr
     }
 };
 
-/** Table of MSHRs indexed by line address. */
+/**
+ * Table of MSHRs indexed by line address.
+ *
+ * A fixed-capacity slot table: a tag array scanned on lookup (with one
+ * blocking CPU per node, one or two entries are live) and one heap
+ * Mshr per slot, so an Mshr* stays valid until its line is freed.
+ * Slots are committed on demand, when every committed slot is busy,
+ * so an idle node holds none.
+ */
 class MshrTable
 {
   public:
     explicit MshrTable(std::size_t capacity) : _capacity(capacity) {}
 
-    bool full() const { return _table.size() >= _capacity; }
-    std::size_t size() const { return _table.size(); }
+    bool full() const { return _live >= _capacity; }
+    std::size_t size() const { return _live; }
 
     Mshr *
     find(Addr line)
     {
-        auto it = _table.find(line);
-        return it == _table.end() ? nullptr : &it->second;
+        for (std::size_t i = 0; i < _lines.size(); ++i) {
+            if (_lines[i] == line)
+                return _slots[i].get();
+        }
+        return nullptr;
     }
 
     /** Allocate an MSHR; returns nullptr if full or already present. */
     Mshr *
     allocate(Addr line)
     {
-        if (full() || _table.count(line))
+        if (full() || find(line))
             return nullptr;
-        Mshr &m = _table[line];
+        std::size_t i = 0;
+        while (i < _lines.size() && _lines[i] != invalidAddr)
+            ++i;
+        if (i == _lines.size()) {
+            _lines.push_back(invalidAddr);
+            _slots.push_back(std::make_unique<Mshr>());
+        }
+        _lines[i] = line;
+        ++_live;
+        Mshr &m = *_slots[i];
         m.addr = line;
         return &m;
     }
 
-    void free(Addr line) { _table.erase(line); }
+    /** Release @p line's MSHR (a no-op if none); its state, including
+     *  the completion callback, is dropped now. */
+    void
+    free(Addr line)
+    {
+        for (std::size_t i = 0; i < _lines.size(); ++i) {
+            if (_lines[i] == line) {
+                _lines[i] = invalidAddr;
+                *_slots[i] = Mshr{};
+                --_live;
+                return;
+            }
+        }
+    }
 
     template <typename Fn>
     void
     forEach(Fn &&fn)
     {
-        for (auto &[line, mshr] : _table)
-            fn(mshr);
+        for (std::size_t i = 0; i < _lines.size(); ++i) {
+            if (_lines[i] != invalidAddr)
+                fn(*_slots[i]);
+        }
     }
 
   private:
     std::size_t _capacity;
-    std::unordered_map<Addr, Mshr> _table;
+    std::size_t _live = 0;
+    /** Line of each committed slot; invalidAddr marks a free one. */
+    std::vector<Addr> _lines;
+    std::vector<std::unique_ptr<Mshr>> _slots;
 };
 
 } // namespace pcsim

@@ -85,9 +85,9 @@ class Rac
     /**
      * Insert and pin the surrogate-memory copy for a freshly delegated
      * line. May displace unpinned entries. If the set is full of
-     * pinned entries, @p evict_pinned is invoked with the
-     * least-recently-used pinned victim so the caller can undelegate
-     * it first (undelegation reason 2); the insert is then retried.
+     * pinned entries, @p evict_pinned is invoked with the set's first
+     * pinned way so the caller can undelegate it first (undelegation
+     * reason 2); the insert is then retried.
      *
      * @return the entry, or nullptr if no room could be made.
      */
@@ -156,28 +156,13 @@ class Rac
     }
 
   private:
-    /** LRU pinned entry in the set @p line maps to. */
+    /** First pinned way, in way order, of the set @p line maps to
+     *  (invalidAddr if none). */
     Addr
     pinnedVictimInSetOf(Addr line)
     {
-        // Walk the whole array (sets are small; this is rare).
-        Addr victim = invalidAddr;
-        std::uint64_t bestUse = ~0ull;
-        const std::size_t set =
-            (line / _cfg.lineBytes) % _array.numSets();
-        _array.forEach([&](Addr a, RacEntry &e) {
-            if (!e.pinned)
-                return;
-            if ((a / _cfg.lineBytes) % _array.numSets() != set)
-                return;
-            // Recency is not exposed; approximate with address order
-            // determinism. First found is fine: pinned sets are tiny.
-            if (bestUse == ~0ull) {
-                victim = a;
-                bestUse = 0;
-            }
-        });
-        return victim;
+        return _array.firstInSet(
+            line, [](Addr, const RacEntry &e) { return e.pinned; });
     }
 
     RacConfig _cfg;

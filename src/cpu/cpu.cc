@@ -29,8 +29,6 @@ Cpu::nextOp()
     if (!_workload.next(_cpuId, op)) {
         _done = true;
         _finishedAt = curTick();
-        PCSIM_DPRINTF(DebugCpu, curTick(), "cpu%u: done after %llu ops",
-                      _cpuId, (unsigned long long)_ops);
         if (_onDone)
             _onDone();
         return;

@@ -11,8 +11,8 @@
 #define PCSIM_MEM_MEMORY_MAP_HH
 
 #include <cstdint>
-#include <unordered_map>
 
+#include "src/sim/addr_map.hh"
 #include "src/sim/logging.hh"
 #include "src/sim/types.hh"
 
@@ -39,8 +39,10 @@ class MemoryMap
         if (num_nodes >= invalidNode)
             fatal("memory map: %u nodes exceed the NodeId range",
                   num_nodes);
-        if (page_bytes == 0)
-            fatal("memory map needs a nonzero page size");
+        if (page_bytes == 0 || (page_bytes & (page_bytes - 1)) != 0)
+            fatal("memory map page size %u is not a power of two",
+                  page_bytes);
+        _pageShift = static_cast<unsigned>(__builtin_ctz(page_bytes));
     }
 
     std::uint32_t pageBytes() const { return _pageBytes; }
@@ -58,9 +60,13 @@ class MemoryMap
     void
     setInterleavedRegion(Addr base, Addr size, std::uint32_t line_bytes)
     {
+        if (line_bytes == 0 || (line_bytes & (line_bytes - 1)) != 0)
+            fatal("interleaved region line size %u is not a power of "
+                  "two",
+                  line_bytes);
         _ilBase = base;
         _ilSize = size;
-        _ilLineBytes = line_bytes;
+        _ilLineShift = static_cast<unsigned>(__builtin_ctz(line_bytes));
     }
 
     /**
@@ -70,48 +76,41 @@ class MemoryMap
     NodeId
     homeOf(Addr addr, NodeId toucher)
     {
-        if (addr - _ilBase < _ilSize) {
-            return static_cast<NodeId>((addr - _ilBase) / _ilLineBytes %
-                                       _numNodes);
-        }
-        const Addr page = addr / _pageBytes;
+        if (addr - _ilBase < _ilSize)
+            return interleavedHome(addr);
+        const Addr page = addr >> _pageShift;
         if (_policy == Placement::RoundRobin)
             return static_cast<NodeId>(page % _numNodes);
-        if (_frozen) {
-            auto it = _pages.find(page);
-            if (it == _pages.end())
-                panic("homeOf: page of 0x%llx touched after the map "
-                      "was frozen (pre-placement missed it)",
-                      (unsigned long long)addr);
-            return it->second;
-        }
-        auto [it, inserted] = _pages.try_emplace(page, toucher);
-        (void)inserted;
-        return it->second;
+        if (const NodeId *home = _pages.find(page))
+            return *home;
+        if (_frozen)
+            panic("homeOf: page of 0x%llx touched after the map "
+                  "was frozen (pre-placement missed it)",
+                  (unsigned long long)addr);
+        return _pages[page] = toucher;
     }
 
     /** Home of an already-placed page (panics if unplaced). */
     NodeId
     homeOf(Addr addr) const
     {
-        if (addr - _ilBase < _ilSize) {
-            return static_cast<NodeId>((addr - _ilBase) / _ilLineBytes %
-                                       _numNodes);
-        }
+        if (addr - _ilBase < _ilSize)
+            return interleavedHome(addr);
+        const Addr page = addr >> _pageShift;
         if (_policy == Placement::RoundRobin)
-            return static_cast<NodeId>((addr / _pageBytes) % _numNodes);
-        auto it = _pages.find(addr / _pageBytes);
-        if (it == _pages.end())
+            return static_cast<NodeId>(page % _numNodes);
+        const NodeId *home = _pages.find(page);
+        if (!home)
             panic("homeOf: page of 0x%llx not placed",
                   (unsigned long long)addr);
-        return it->second;
+        return *home;
     }
 
     /** Pre-place a page explicitly (workload initialization). */
     void
     place(Addr addr, NodeId home)
     {
-        _pages[addr / _pageBytes] = home;
+        _pages[addr >> _pageShift] = home;
     }
 
     std::size_t numPlacedPages() const { return _pages.size(); }
@@ -126,6 +125,14 @@ class MemoryMap
     bool frozen() const { return _frozen; }
 
   private:
+    /** Line i of the interleaved region is homed at i % numNodes. */
+    NodeId
+    interleavedHome(Addr addr) const
+    {
+        const Addr i = (addr - _ilBase) >> _ilLineShift;
+        return static_cast<NodeId>(i < _numNodes ? i : i % _numNodes);
+    }
+
     unsigned _numNodes;
     std::uint32_t _pageBytes;
     Placement _policy;
@@ -134,9 +141,11 @@ class MemoryMap
      *  compare. */
     Addr _ilBase = 0;
     Addr _ilSize = 0;
-    std::uint32_t _ilLineBytes = 1;
+    unsigned _ilLineShift = 0;
+    unsigned _pageShift = 0;
     bool _frozen = false;
-    std::unordered_map<Addr, NodeId> _pages;
+    /** Page number -> home node. */
+    AddrMap<NodeId> _pages;
 };
 
 } // namespace pcsim

@@ -99,9 +99,6 @@ Network::sendAcquired(Message *pm)
         // not network traffic.
         ++_banks[_shardOf[src]].numLocal;
         const Tick deliver = now + _cfg.localLatency;
-        PCSIM_DPRINTF(DebugNet, now, "net: %s deliver@%llu",
-                      msg.toString().c_str(),
-                      (unsigned long long)deliver);
         _nodeQueue[src]->schedule(deliver, [this, handler, pm]() {
             handler->handleMessage(*pm);
             releaseMessage(pm);
@@ -150,9 +147,6 @@ Network::sendAcquired(Message *pm)
     bank.numBytes += bytes;
     ++bank.perType[static_cast<std::size_t>(msg.type)];
     bank.hopHist.sample(hops);
-
-    PCSIM_DPRINTF(DebugNet, now, "net: %s arrive@%llu",
-                  msg.toString().c_str(), (unsigned long long)arrive);
 
     const RouteEntry e{arrive, occupancy, fault_delay, seq, src, pm};
     const unsigned dst_shard = _shardOf[dst];
@@ -218,9 +212,6 @@ Network::drainArrivals(NodeId dst)
         }
 
         Message *pm = e.pm;
-        PCSIM_DPRINTF(DebugNet, now, "net: %s deliver@%llu",
-                      pm->toString().c_str(),
-                      (unsigned long long)deliver);
         q.schedule(deliver, [this, handler, pm]() {
             handler->handleMessage(*pm);
             releaseMessage(pm);

@@ -12,6 +12,7 @@
 #ifndef PCSIM_NET_TOPOLOGY_HH
 #define PCSIM_NET_TOPOLOGY_HH
 
+#include <array>
 #include <cstdint>
 
 #include "src/sim/logging.hh"
@@ -20,7 +21,8 @@
 namespace pcsim
 {
 
-/** Radix-8 fat tree over @c numNodes leaves. */
+/** Fat tree (radix 8 by default, any power of two) over @c numNodes
+ *  leaves. */
 class FatTreeTopology
 {
   public:
@@ -32,11 +34,12 @@ class FatTreeTopology
         if (num_nodes >= invalidNode)
             fatal("topology: %u leaves exceed the NodeId range",
                   num_nodes);
-        if (radix < 2)
-            fatal("router radix must be >= 2");
+        if (radix < 2 || (radix & (radix - 1)) != 0)
+            fatal("router radix must be a power of two >= 2, got %u",
+                  radix);
         // Any leaf count is legal, not just powers of the radix: a
         // partially filled last router level simply leaves ports
-        // unused, and hops() only ever divides by the radix.
+        // unused.
         // Depth of the tree: number of router levels needed so that
         // radix^depth >= numNodes.
         _depth = 1;
@@ -45,6 +48,12 @@ class FatTreeTopology
             reach *= _radix;
             ++_depth;
         }
+        // A power-of-two radix makes each tree level a fixed group of
+        // id bits, so the common-ancestor level is a function of the
+        // highest bit in which the two ids differ: tabulate it.
+        const unsigned bits = static_cast<unsigned>(__builtin_ctz(radix));
+        for (unsigned b = 0; b < _hopsByTopBit.size(); ++b)
+            _hopsByTopBit[b] = static_cast<std::uint8_t>(b / bits + 1);
     }
 
     unsigned numNodes() const { return _numNodes; }
@@ -62,17 +71,8 @@ class FatTreeTopology
     {
         if (src == dst)
             return 0;
-        // Find the level of the lowest common ancestor: divide both
-        // ids by radix until they match.
-        unsigned level = 1;
-        std::uint64_t a = src / _radix;
-        std::uint64_t b = dst / _radix;
-        while (a != b) {
-            a /= _radix;
-            b /= _radix;
-            ++level;
-        }
-        return level;
+        return _hopsByTopBit[31 - __builtin_clz(unsigned{src} ^
+                                                unsigned{dst})];
     }
 
     /** Largest hop count possible in this topology. */
@@ -106,6 +106,9 @@ class FatTreeTopology
     unsigned _numNodes;
     unsigned _radix;
     unsigned _depth;
+    /** Hops between two distinct ids, indexed by the highest id bit
+     *  in which they differ. */
+    std::array<std::uint8_t, 32> _hopsByTopBit{};
 };
 
 } // namespace pcsim

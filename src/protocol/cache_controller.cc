@@ -603,7 +603,7 @@ CacheController::handleIntervention(const Message &msg)
 
     switch (msg.type) {
       case MsgType::Inval: {
-        recordTombstone(line, msg.version);
+        _tombstones.record(line, msg.version);
         if (e) {
             _l1.invalidateRange(line, _cfg.lineBytes);
             _l2.invalidate(line);
@@ -718,29 +718,6 @@ CacheController::handleIntervention(const Message &msg)
 }
 
 void
-CacheController::recordTombstone(Addr line, Version version)
-{
-    auto [it, inserted] = _tombstones.try_emplace(line, version);
-    if (!inserted) {
-        if (version > it->second)
-            it->second = version;
-        return;
-    }
-    _tombstoneFifo.push_back(line);
-    if (_tombstoneFifo.size() > tombstoneCapacity) {
-        _tombstones.erase(_tombstoneFifo.front());
-        _tombstoneFifo.pop_front();
-    }
-}
-
-bool
-CacheController::staleByTombstone(Addr line, Version version) const
-{
-    auto it = _tombstones.find(line);
-    return it != _tombstones.end() && version <= it->second;
-}
-
-void
 CacheController::handleUpdate(const Message &msg)
 {
     wakeSpinner();
@@ -754,7 +731,8 @@ CacheController::handleUpdate(const Message &msg)
 
     ++st.updatesReceived;
 
-    if (staleByTombstone(line, msg.version)) {
+    const Version *tomb = _tombstones.find(line);
+    if (tomb && msg.version <= *tomb) {
         // The push raced an invalidation for a newer epoch: stale.
         ++st.updatesDropped;
         return;

@@ -18,14 +18,13 @@
 #ifndef PCSIM_PROTOCOL_CACHE_CONTROLLER_HH
 #define PCSIM_PROTOCOL_CACHE_CONTROLLER_HH
 
-#include <deque>
 #include <functional>
-#include <unordered_map>
 
 #include "src/cache/cache_array.hh"
 #include "src/cache/l1_cache.hh"
 #include "src/cache/line_state.hh"
 #include "src/cache/mshr.hh"
+#include "src/cache/tombstone_buffer.hh"
 #include "src/net/message.hh"
 #include "src/protocol/config.hh"
 #include "src/sim/random.hh"
@@ -160,11 +159,6 @@ class CacheController
     /** Perform a store on a writable resident line. */
     void performStore(Addr line, L2Entry &entry);
 
-    /** Record that @p line was invalidated at epoch @p version. */
-    void recordTombstone(Addr line, Version version);
-    /** Is a message carrying @p version for @p line stale? */
-    bool staleByTombstone(Addr line, Version version) const;
-
     Hub &_hub;
     const ProtocolConfig &_cfg;
     L1Cache _l1;
@@ -172,17 +166,9 @@ class CacheController
     MshrTable _mshrs;
     Rng _rng;
 
-    /**
-     * Recently-invalidated-lines buffer: a speculative UPDATE that was
-     * already in flight when its line was undelegated can arrive
-     * AFTER the next writer's invalidation (no point-to-point
-     * ordering between the two sources). Each Inval records the
-     * superseded epoch here; updates at or below it are dropped.
-     * Modeled as a small FIFO, as the hardware would build it.
-     */
-    std::unordered_map<Addr, Version> _tombstones;
-    std::deque<Addr> _tombstoneFifo;
-    static constexpr std::size_t tombstoneCapacity = 128;
+    /** Superseded epochs of recently invalidated lines: stale
+     *  in-flight updates are dropped against them. */
+    TombstoneBuffer _tombstones;
 
     std::uint64_t _nextTxnId = 0;
 

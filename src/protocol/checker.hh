@@ -30,6 +30,7 @@
 #include "src/cache/line_state.hh"
 #include "src/core/delegate_cache.hh"
 #include "src/mem/directory.hh"
+#include "src/sim/addr_map.hh"
 #include "src/sim/types.hh"
 
 namespace pcsim
@@ -44,27 +45,28 @@ class MessageTrace;
 class VersionAuthority
 {
   public:
-    Version current(Addr line) const
+    Version
+    current(Addr line) const
     {
-        auto it = _versions.find(line);
-        return it == _versions.end() ? 0 : it->second;
+        const Version *v = _versions.find(line);
+        return v ? *v : 0;
     }
 
     /** A store performed: advance the line's epoch. */
     Version bump(Addr line) { return ++_versions[line]; }
 
+    /** Visit every line ever stored to, as fn(line, version). */
     template <typename Fn>
     void
     forEach(Fn &&fn) const
     {
-        for (const auto &[line, v] : _versions)
-            fn(line, v);
+        _versions.forEach(fn);
     }
 
     std::size_t numLines() const { return _versions.size(); }
 
   private:
-    std::unordered_map<Addr, Version> _versions;
+    AddrMap<Version> _versions;
 };
 
 /** What the checker can see of one node (implemented by Hub). */

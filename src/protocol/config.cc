@@ -142,8 +142,8 @@ ProtocolConfig::validateError() const
         return "arbQueueDepth must be at least 1 when a parked-request "
                "arbitration mode is selected";
 
-    if (l1.sizeBytes == 0 || l1.ways == 0 ||
-        l1.sizeBytes < l1.ways * l1.lineBytes)
+    if (l1.sizeBytes == 0 || l1.ways == 0 || !isPowerOfTwo(l1.lineBytes) ||
+        l1.lineBytes < 8 || l1.sizeBytes < l1.ways * l1.lineBytes)
         return "L1 geometry is degenerate (size/ways/lineBytes)";
     if (l1.hitLatency == 0)
         return "l1.hitLatency must be at least 1 (a zero-latency hit "
@@ -160,6 +160,7 @@ ProtocolConfig::validateError() const
 
     if (racEnabled) {
         if (rac.sizeBytes == 0 || rac.ways == 0 ||
+            !isPowerOfTwo(rac.lineBytes) || rac.lineBytes < 8 ||
             rac.sizeBytes < rac.ways * rac.lineBytes)
             return "RAC geometry is degenerate (size/ways/lineBytes)";
     }

@@ -79,9 +79,6 @@ Hub::lineTrace(Addr line) const
 void
 Hub::handleMessage(const Message &msg)
 {
-    PCSIM_DPRINTF(DebugCache, curTick(), "hub%u: rx %s", _id,
-                  msg.toString().c_str());
-
     if (_trace)
         _trace->record(msg, curTick());
 

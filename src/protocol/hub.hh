@@ -191,8 +191,10 @@ class Hub : public SimObject,
     }
     verify::TransitionObserver *observer() { return _observer; }
 
-    /** Line-align an address at coherence granularity. */
-    Addr lineOf(Addr a) const { return a - (a % _cfg.lineBytes); }
+    /** Line-align an address at coherence granularity (lineBytes is
+     *  a power of two: ProtocolConfig::validate, and the L2 array
+     *  refuses any other line size). */
+    Addr lineOf(Addr a) const { return a & ~Addr(_cfg.lineBytes - 1); }
 
     /** Home node of @p line (first-touch assigns to this node). */
     NodeId homeOf(Addr line) { return _memMap.homeOf(line, _id); }

@@ -85,7 +85,7 @@ ProducerController::handleDelegate(const Message &msg)
                 });
             evict_scope.overridePost(verify::prodNone);
             ++_hub.stats().undelegationsCapacity;
-            undelegate(victim, v, UndeleReason::Capacity);
+            undelegate(victim, v);
         });
 
     // If we must hand the delegation back, the home can satisfy our
@@ -126,17 +126,12 @@ ProducerController::handleDelegate(const Message &msg)
                                          });
         if (!re) {
             ++_hub.stats().undelegationsFlush;
-            undelegate(line, *e, UndeleReason::Refused, _hub.id(),
-                       pending_type);
+            undelegate(line, *e, _hub.id(), pending_type);
             return;
         }
     }
 
     ++_hub.stats().delegationsReceived;
-    PCSIM_DPRINTF(DebugDelegate, _hub.curTick(),
-                  "node %u: delegated 0x%llx (sharers=%s)", _hub.id(),
-                  (unsigned long long)line,
-                  msg.sharers.toString().c_str());
 
     // The delegation was triggered by our own pending write: serve it
     // now as the acting home (Figure 4a step 8: "convert delegate msg
@@ -267,8 +262,7 @@ ProducerController::handleRequestCore(const Message &msg)
         } else {
             // Undelegation reason 3: another node wants to write.
             ++_hub.stats().undelegationsConflict;
-            undelegate(line, *e, UndeleReason::Conflict, msg.requester,
-                       msg.type, msg.txnId);
+            undelegate(line, *e, msg.requester, msg.type, msg.txnId);
         }
         break;
 
@@ -524,13 +518,12 @@ ProducerController::undelegateForRacPressure(Addr line)
     if (_hub.cacheCtrl().hasMshr(line))
         return; // unsafe now; the insertPinned caller copes
     ++_hub.stats().undelegationsFlush;
-    undelegate(line, *e, UndeleReason::Flush);
+    undelegate(line, *e);
 }
 
 void
 ProducerController::undelegate(Addr line, ProducerEntry &e,
-                               UndeleReason reason, NodeId pending_req,
-                               MsgType pending_type,
+                               NodeId pending_req, MsgType pending_type,
                                std::uint64_t pending_txn)
 {
     DelegateCache *dc = _hub.delegateCache();
@@ -563,10 +556,6 @@ ProducerController::undelegate(Addr line, ProducerEntry &e,
         und.sharers.add(_hub.id());
         rac->unpin(line, /*keep_data=*/true);
     }
-
-    PCSIM_DPRINTF(DebugDelegate, _hub.curTick(),
-                  "node %u: undelegate 0x%llx reason=%d", _hub.id(),
-                  (unsigned long long)line, static_cast<int>(reason));
 
     // Bounce any parked requests back toward the real home: we are no
     // longer the acting home, and the restored directory will service

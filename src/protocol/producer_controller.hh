@@ -33,15 +33,6 @@ namespace pcsim
 
 class Hub;
 
-/** Reasons a delegation ends (Section 2.3.3). */
-enum class UndeleReason
-{
-    Capacity, ///< producer table conflict
-    Flush,    ///< pinned RAC entry displaced
-    Conflict, ///< another node requested an exclusive copy
-    Refused,  ///< delegation could not be accepted at all
-};
-
 /** The producer-side delegated-home engine. */
 class ProducerController
 {
@@ -87,7 +78,9 @@ class ProducerController
     void fireDelayedIntervention(Addr line, std::uint64_t token);
     /** Downgrade/absorb the epoch's data and push updates. */
     void completeEpoch(Addr line, ProducerEntry &e, Version version);
-    void undelegate(Addr line, ProducerEntry &e, UndeleReason reason,
+    /** End the delegation of @p line (Section 2.3.3; callers count
+     *  the reason in NodeStats::undelegations*). */
+    void undelegate(Addr line, ProducerEntry &e,
                     NodeId pending_req = invalidNode,
                     MsgType pending_type = MsgType::ReqExcl,
                     std::uint64_t pending_txn = 0);

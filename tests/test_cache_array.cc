@@ -237,8 +237,16 @@ class EagerArray
         return &s->data;
     }
 
+    /** Which valid ways allocate() may displace. */
+    enum class Evict
+    {
+        Any,
+        Unpinned,
+        None,
+    };
+
     Payload *
-    allocate(Addr a, bool respect_pins, Addr &evicted)
+    allocate(Addr a, Evict mode, Addr &evicted)
     {
         const Addr line = a - a % kLine;
         if (Slot *hit = findSlot(line)) {
@@ -252,7 +260,7 @@ class EagerArray
                 victim = &set[w];
         }
         if (!victim) {
-            victim = pickVictim(set, respect_pins);
+            victim = pickVictim(set, mode);
             if (!victim)
                 return nullptr;
             evicted = victim->addr;
@@ -276,6 +284,28 @@ class EagerArray
     {
         for (Slot &s : _slots)
             s = Slot{};
+    }
+
+    /** Drop every line that overlaps [base, base + bytes). */
+    void
+    invalidateRange(Addr base, Addr bytes)
+    {
+        for (Slot &s : _slots) {
+            if (s.valid && s.addr < base + bytes && base < s.addr + kLine)
+                s = Slot{};
+        }
+    }
+
+    /** First pinned way of @p a's set, in way order. */
+    Addr
+    firstPinnedInSet(Addr a)
+    {
+        const Slot *set = setBase(a - a % kLine);
+        for (std::size_t w = 0; w < _ways; ++w) {
+            if (set[w].valid && set[w].data.pinned)
+                return set[w].addr;
+        }
+        return invalidAddr;
     }
 
     std::vector<std::pair<Addr, int>>
@@ -329,10 +359,11 @@ class EagerArray
     }
 
     Slot *
-    pickVictim(Slot *set, bool respect_pins)
+    pickVictim(Slot *set, Evict mode)
     {
         auto evictable = [&](const Slot &s) {
-            return !respect_pins || !s.data.pinned;
+            return mode == Evict::Any ||
+                   (mode == Evict::Unpinned && !s.data.pinned);
         };
         if (_policy == ReplPolicy::Random) {
             const std::size_t start = _rng.below(_ways);
@@ -371,10 +402,12 @@ contentsOf(const CacheArray<Payload> &c)
 
 } // namespace
 
-// Differential test: the lazily committed array must be
-// indistinguishable from an eagerly built one under seeded random
-// allocate / find / invalidate / clear streams -- same hits, same
-// victims (LRU clock and Random draws), same visit order and counts.
+// Differential test: the lazily committed, tag-first array must be
+// indistinguishable from an eagerly built array of slots under seeded
+// random allocate / find / invalidate / range-invalidate / in-set scan
+// / clear streams -- same hits, same victims (LRU clock and Random
+// draws, including when every way refuses eviction), same visit order
+// and counts, and the same behaviour when cleared storage is reused.
 class CacheArrayLazyVsEager
     : public ::testing::TestWithParam<
           std::tuple<std::size_t, std::size_t, ReplPolicy>>
@@ -383,6 +416,7 @@ class CacheArrayLazyVsEager
 
 TEST_P(CacheArrayLazyVsEager, SameObservableBehaviour)
 {
+    using Evict = EagerArray::Evict;
     const auto [sets, ways, pol] = GetParam();
     for (std::uint64_t seed : {1u, 2u, 3u}) {
         SCOPED_TRACE(seed);
@@ -393,26 +427,35 @@ TEST_P(CacheArrayLazyVsEager, SameObservableBehaviour)
         // Twice the capacity in distinct lines forces evictions.
         const std::uint64_t lines = 2 * sets * ways;
         const int steps = static_cast<int>(6 * sets * ways) + 2000;
+        int clears = 0;
         for (int i = 0; i < steps; ++i) {
             const Addr a = ops.below(lines) * 128 + ops.below(128);
             const std::uint64_t op = ops.below(100);
             if (op < 45) {
-                const bool pins = ops.below(2) == 0;
+                const auto mode = static_cast<Evict>(ops.below(3));
                 Addr ev_lazy = invalidAddr;
                 Addr ev_eager = invalidAddr;
-                const std::function<bool(Addr, const Payload &)> unpinned =
-                    [](Addr, const Payload &v) { return !v.pinned; };
-                Payload *pl = lazy.allocate(
-                    a, pins ? unpinned : nullptr,
-                    [&](Addr v, Payload &) { ev_lazy = v; });
-                Payload *pe = eager.allocate(a, pins, ev_eager);
+                auto on_evict = [&](Addr v, Payload &) { ev_lazy = v; };
+                Payload *pl = nullptr;
+                if (mode == Evict::Any) {
+                    pl = lazy.allocate(a, nullptr, on_evict);
+                } else if (mode == Evict::Unpinned) {
+                    pl = lazy.allocate(
+                        a, [](Addr, const Payload &v) { return !v.pinned; },
+                        on_evict);
+                } else {
+                    pl = lazy.allocate(
+                        a, [](Addr, const Payload &) { return false; },
+                        on_evict);
+                }
+                Payload *pe = eager.allocate(a, mode, ev_eager);
                 ASSERT_EQ(pl == nullptr, pe == nullptr) << "step " << i;
                 ASSERT_EQ(ev_lazy, ev_eager) << "step " << i;
                 if (pl) {
                     pl->value = pe->value = i;
                     pl->pinned = pe->pinned = ops.below(10) == 0;
                 }
-            } else if (op < 85) {
+            } else if (op < 80) {
                 const bool touch = ops.below(2) == 0;
                 Payload *pl = lazy.find(a, touch);
                 Payload *pe = eager.find(a, touch);
@@ -420,12 +463,30 @@ TEST_P(CacheArrayLazyVsEager, SameObservableBehaviour)
                 if (pl) {
                     ASSERT_EQ(pl->value, pe->value) << "step " << i;
                 }
-            } else if (op < 99) {
+            } else if (op < 92) {
                 ASSERT_EQ(lazy.invalidate(a), eager.invalidate(a))
                     << "step " << i;
-            } else if (ops.below(20) == 0) {
+            } else if (op < 94) {
+                // An L2-line back-invalidate: four consecutive lines,
+                // wrapping past the last set.
+                const Addr base = a - a % 512;
+                lazy.invalidateRange(base, 512);
+                eager.invalidateRange(base, 512);
+            } else if (op < 95) {
+                // A range smaller than a line and not aligned to it,
+                // or straddling a line boundary.
+                const Addr base = a + 8 * ops.below(16);
+                const Addr bytes = 8 + 8 * ops.below(20);
+                lazy.invalidateRange(base, bytes);
+                eager.invalidateRange(base, bytes);
+            } else if (op < 99) {
+                const Addr got = lazy.firstInSet(
+                    a, [](Addr, const Payload &v) { return v.pinned; });
+                ASSERT_EQ(got, eager.firstPinnedInSet(a)) << "step " << i;
+            } else if (ops.below(4) == 0) {
                 lazy.clear();
                 eager.clear();
+                ++clears;
             }
             ASSERT_EQ(lazy.setOccupancy(a), eager.setOccupancy(a))
                 << "step " << i;
@@ -435,14 +496,16 @@ TEST_P(CacheArrayLazyVsEager, SameObservableBehaviour)
                 ASSERT_EQ(lazy.occupancy(), expect.size());
             }
         }
+        EXPECT_GT(clears, 0); // cleared storage was reused
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Geometries, CacheArrayLazyVsEager,
     ::testing::Combine(
-        // Power of two; Figure 8's 1.04 MB L2 (2129 sets); a count
-        // that is not a multiple of the group size.
+        // Power of two (mask indexing); Figure 8's 1.04 MB L2 (2129
+        // sets) and a count that is not a multiple of the group size
+        // (exact modulo fallback).
         ::testing::Values(std::size_t(64), std::size_t(2129),
                           std::size_t(13)),
         ::testing::Values(std::size_t(4)),
@@ -452,3 +515,65 @@ INSTANTIATE_TEST_SUITE_P(
                (std::get<2>(info.param) == ReplPolicy::LRU ? "Lru"
                                                            : "Random");
     });
+
+TEST(CacheArray, ClearedStorageIsReused)
+{
+    auto c = makeArray(16, 2);
+    for (int i = 0; i < 32; ++i)
+        c.allocate(i * 128)->value = i;
+    const std::size_t groups = c.committedGroups();
+    c.clear();
+    for (int i = 0; i < 32; ++i)
+        EXPECT_EQ(c.find(i * 128), nullptr);
+    // Refill: every way is free again, nothing is evicted, and the
+    // payloads start from their defaults.
+    for (int i = 32; i < 64; ++i) {
+        Payload *p = c.allocate(
+            i * 128, nullptr, [](Addr, Payload &) { ADD_FAILURE(); });
+        ASSERT_NE(p, nullptr);
+        EXPECT_EQ(p->value, 0);
+        EXPECT_FALSE(p->pinned);
+    }
+    EXPECT_EQ(c.occupancy(), 32u);
+    EXPECT_EQ(c.committedGroups(), groups);
+}
+
+TEST(CacheArray, InvalidateRangeStepsAcrossSets)
+{
+    // 32 B lines, 13 sets: a 128 B range covers four consecutive sets
+    // and, from set 11, wraps to sets 0 and 1.
+    CacheArray<Payload> c("l1", 13, 2, 32, ReplPolicy::LRU, Rng(1));
+    const Addr base = (13 * 4 + 11) * 32; // line 63: set 11
+    for (Addr a = base - 32; a < base + 160; a += 32)
+        c.allocate(a);
+    c.invalidateRange(base, 128);
+    EXPECT_NE(c.find(base - 32), nullptr);
+    for (Addr a = base; a < base + 128; a += 32)
+        EXPECT_EQ(c.find(a), nullptr);
+    EXPECT_NE(c.find(base + 128), nullptr);
+
+    // A 16 B range inside one line, not aligned to it, drops that
+    // line; one straddling a boundary drops both lines; an empty
+    // range drops nothing.
+    for (Addr a = base - 32; a < base + 160; a += 32)
+        c.allocate(a);
+    c.invalidateRange(base + 8, 16);
+    EXPECT_EQ(c.find(base), nullptr);
+    EXPECT_NE(c.find(base + 32), nullptr);
+    c.invalidateRange(base + 56, 16);
+    EXPECT_EQ(c.find(base + 32), nullptr);
+    EXPECT_EQ(c.find(base + 64), nullptr);
+    EXPECT_NE(c.find(base + 96), nullptr);
+    c.invalidateRange(base + 100, 0);
+    EXPECT_NE(c.find(base + 96), nullptr);
+}
+
+TEST(CacheArrayDeathTest, LineSizeMustBeAPowerOfTwo)
+{
+    EXPECT_EXIT(CacheArray<Payload>("bad", 4, 2, 96, ReplPolicy::LRU,
+                                    Rng(1)),
+                ::testing::ExitedWithCode(1), "bad cache geometry");
+    EXPECT_EXIT(CacheArray<Payload>("bad", 4, 2, 1, ReplPolicy::LRU,
+                                    Rng(1)),
+                ::testing::ExitedWithCode(1), "bad cache geometry");
+}

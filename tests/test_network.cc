@@ -42,6 +42,29 @@ TEST(Topology, LargerSystems)
     EXPECT_EQ(t512.hops(0, 7), 1u);
 }
 
+TEST(Topology, HopsMatchCommonAncestorLevel)
+{
+    // Reference: divide both ids by the radix until they meet; the
+    // number of divisions is the common ancestor's level.
+    for (unsigned radix : {2u, 4u, 8u, 16u}) {
+        FatTreeTopology t(300, radix);
+        for (NodeId a = 0; a < 300; a += 3)
+            for (NodeId b = 0; b < 300; b += 5) {
+                unsigned level = 0;
+                for (unsigned x = a, y = b; x != y; x /= radix, y /= radix)
+                    ++level;
+                EXPECT_EQ(t.hops(a, b), level)
+                    << "radix " << radix << " " << a << "->" << b;
+            }
+    }
+}
+
+TEST(Topology, RejectsNonPowerOfTwoRadix)
+{
+    EXPECT_DEATH(FatTreeTopology(16, 6), "power of two");
+    EXPECT_DEATH(FatTreeTopology(16, 1), "power of two");
+}
+
 TEST(Message, SizesFollowPayload)
 {
     Message m;

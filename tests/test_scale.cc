@@ -130,6 +130,16 @@ TEST(ConfigValidate, RejectsDegenerateConfigs)
     c.lineBytes = 96; // not a power of two
     EXPECT_NE(c.validateError().find("lineBytes"), std::string::npos);
 
+    // The cache arrays index with masks and shifts, so every line
+    // size must be a power of two.
+    c = ProtocolConfig{};
+    c.l1.lineBytes = 24;
+    EXPECT_NE(c.validateError().find("L1 geometry"), std::string::npos);
+    c = ProtocolConfig{};
+    c.racEnabled = true;
+    c.rac.lineBytes = 96;
+    EXPECT_NE(c.validateError().find("RAC geometry"), std::string::npos);
+
     c = ProtocolConfig{};
     c.numNodes = 16;
     c.sharerGranularityLog2 = 5; // 32 nodes per bit > machine size
