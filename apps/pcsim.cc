@@ -6,31 +6,30 @@
  *   pcsim sweep --figure 7 -j8
  *   pcsim list
  *
- * `run` executes a (workload x config x seed) cartesian product built
- * from comma-separated lists; `sweep` reproduces a paper figure/table
- * through the same runner and prints the paper-comparison table as a
- * formatting layer over the JSON results document. Simulations are
- * deterministic, so `--deterministic-check` (run everything twice and
- * byte-compare the serialized results) should never fail; CI wires it
- * in as a regression tripwire.
+ * `run`, `serve`, `compare`, `faults`, `qos` and `sweep --figure N /
+ * --table N` are presets of one sweep path (src/runner/sweep.hh):
+ * each builds a job grid from the selection flags, runs it, writes
+ * the JSON/CSV results and prints its table as a formatting layer
+ * over them. Simulations are deterministic, so
+ * `--deterministic-check` (run everything twice and byte-compare the
+ * serialized results) should never fail; CI wires it in as a
+ * regression tripwire.
  */
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "src/protocol/policy.hh"
 #include "src/runner/bench.hh"
-#include "src/runner/compare.hh"
-#include "src/runner/faults.hh"
-#include "src/runner/figures.hh"
 #include "src/runner/job.hh"
 #include "src/runner/results.hh"
-#include "src/runner/runner.hh"
-#include "src/runner/serve.hh"
+#include "src/runner/sweep.hh"
 #include "src/runner/trace_cmd.hh"
 #include "src/trace/format.hh"
 #include "src/verify/lint.hh"
@@ -55,7 +54,7 @@ struct CommandInfo
 const CommandInfo commandTable[] = {
     {"run", "--workload <names> [--config <names>] [options]",
      "cartesian (workload x config x seed) simulation runs"},
-    {"sweep", "(--figure 7|9|10 | --table 2) [options]",
+    {"sweep", "(--figure 7|8|9|10|11|12 | --table 2|3) [options]",
      "reproduce a paper figure or table"},
     {"scale", "[--nodes n,m,...] [--workload W] [options]",
      "node-count scaling sweep (base/delegation/delegate-update)"},
@@ -139,6 +138,12 @@ usage(std::FILE *out)
 "                         CPU-op schedule as a replayable PCTR trace\n"
 "  exit status: 0 clean, 1 usage/io error, 2 findings\n"
 "\n"
+"sweep (paper figures and tables; default --json pcsim-figN.results.json):\n"
+"  --figure N             7 main results, 8 equal area, 9 intervention\n"
+"                         delay, 10 hop latency, 11 delegate-cache size,\n"
+"                         12 RAC size\n"
+"  --table N              2 problem sizes (no simulation), 3 consumers\n"
+"\n"
 "scale (node-count scaling sweep of base/delegation/delegate-update):\n"
 "  --nodes n,m            machine sizes (default: 16,32,64,128,256,\n"
 "                         512,1024; exact sharer vectors throughout,\n"
@@ -212,7 +217,7 @@ usage(std::FILE *out)
 "                         outputs (breaks cross-host byte identity)\n"
 "  --deterministic-check  run every job twice, byte-compare the\n"
 "                         serialized results; exit 3 on mismatch\n"
-"  --no-table             (sweep) skip the printed comparison table\n"
+"  --no-table             skip the printed table\n"
 "  --quiet                suppress per-job progress on stderr\n"
 "\n"
 "exit status: 0 ok, 1 usage error, 2 job failed, 3 non-deterministic\n");
@@ -238,38 +243,22 @@ splitList(const std::string &s)
 struct Options
 {
     std::string command;
-    std::vector<std::string> workloads;
-    std::vector<std::string> configs{"base"};
-    bool configsSet = false;
-    std::vector<std::uint64_t> seeds{1};
-    unsigned nodes = 16;
-    std::vector<unsigned> nodeList; ///< scale: machine sizes
-    unsigned coarse = 1; ///< nodes per sharer bit (power of two)
-    double scale = 1.0;
-    bool scaleSet = false;
-    bool checker = false;
-    bool conformance = false;
+    /** Grid selection for the sweep presets (run, serve, compare,
+     *  faults, qos, sweep); trace record and scale read it too. */
+    runner::SweepAxes axes;
     bool lintMc = true;           ///< lint: run the model cross-check
     std::string lintPolicy;       ///< lint: policy spec name or "all"
     std::string coveragePath;     ///< lint: results doc for coverage
     std::string lintMode;         ///< lint: "", "mdg" or "liveness"
     std::string reproPath;        ///< lint --liveness: PCTR repro out
-    unsigned threads = 0;
+    /** Output flags (-j, --json, --csv, --timing, ...); lint, trace
+     *  and bench read them too. */
+    runner::SweepOptions out;
     bool threadsSet = false;
-    /** --parallel-run shard count (1 = sequential oracle kernel). */
-    unsigned parallelShards = 1;
     bool parallelBench = false; ///< bench: shard-scaling suite
-    std::string jsonPath;
-    std::string csvPath;
-    bool timing = false;
-    bool deterministicCheck = false;
-    bool table = true;
     bool quiet = false;
-    int figure = 0;   ///< 7, 9 or 10
-    int tableNum = 0; ///< 2
-    std::vector<std::string> scenarioList; ///< faults: scenario names
-    /** faults/qos: arbitration mode names to cross in. */
-    std::vector<std::string> arbitrationList;
+    unsigned figure = 0;   ///< sweep --figure N
+    unsigned tableNum = 0; ///< sweep --table N
 
     // bench / scale
     std::uint64_t benchEvents = 2000000;
@@ -296,9 +285,56 @@ argValue(int argc, char **argv, int &i, const char *inline_value)
     return argv[++i];
 }
 
+/** Parse all of @p text as a decimal integer in [lo, hi]; false (with
+ *  a message naming @p flag) on anything else. */
+template <typename T>
+bool
+parseNumber(const std::string &flag, const std::string &text,
+            std::uint64_t lo, std::uint64_t hi, T &out)
+{
+    std::uint64_t v = 0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (text.empty() || ec != std::errc() || ptr != end || v < lo ||
+        v > hi) {
+        std::fprintf(stderr,
+                     "pcsim: bad %s '%s' (expected an integer from %llu "
+                     "to %llu)\n",
+                     flag.c_str(), text.c_str(), (unsigned long long)lo,
+                     (unsigned long long)hi);
+        return false;
+    }
+    out = T(v);
+    return true;
+}
+
+/** parseNumber() over every element of a comma-separated list. */
+template <typename T>
+bool
+parseNumberList(const std::string &flag, const char *text,
+                std::uint64_t lo, std::uint64_t hi, std::vector<T> &out)
+{
+    out.clear();
+    for (const auto &s : splitList(text)) {
+        out.emplace_back();
+        if (!parseNumber(flag, s, lo, hi, out.back()))
+            return false;
+    }
+    if (out.empty()) {
+        std::fprintf(stderr, "pcsim: %s needs at least one value\n",
+                     flag.c_str());
+        return false;
+    }
+    return true;
+}
+
+constexpr std::uint64_t maxThreads = 1024;
+constexpr std::uint64_t maxNodes = ProtocolConfig::maxNodes;
+
 bool
 parseArgs(int argc, char **argv, Options &opt, int first = 2)
 {
+    runner::SweepAxes &axes = opt.axes;
     for (int i = first; i < argc; ++i) {
         std::string arg = argv[i];
         const char *inline_value = nullptr;
@@ -318,42 +354,41 @@ parseArgs(int argc, char **argv, Options &opt, int first = 2)
         const auto value = [&]() {
             return argValue(argc, argv, i, inline_value);
         };
+        // Store a string / comma-separated list value.
+        const auto text = [&](std::string &out) {
+            const char *v = value();
+            if (v)
+                out = v;
+            return v != nullptr;
+        };
+        const auto list = [&](std::vector<std::string> &out) {
+            const char *v = value();
+            if (v)
+                out = splitList(v);
+            return v != nullptr;
+        };
+        const auto number = [&](auto &out, std::uint64_t lo,
+                                std::uint64_t hi) {
+            const char *v = value();
+            return v && parseNumber(arg, v, lo, hi, out);
+        };
+        constexpr auto u64max = std::numeric_limits<std::uint64_t>::max();
 
         if (arg == "--workload" || arg == "--workloads") {
-            const char *v = value();
-            if (!v)
+            if (!list(axes.workloads))
                 return false;
-            opt.workloads = splitList(v);
         } else if (arg == "--config" || arg == "--configs") {
-            const char *v = value();
-            if (!v)
+            if (!list(axes.configs))
                 return false;
-            opt.configs = splitList(v);
-            opt.configsSet = true;
         } else if (arg == "--seed" || arg == "--seeds") {
             const char *v = value();
-            if (!v)
+            if (!v || !parseNumberList(arg, v, 0, u64max, axes.seeds))
                 return false;
-            opt.seeds.clear();
-            for (const auto &s : splitList(v))
-                opt.seeds.push_back(std::strtoull(s.c_str(), nullptr,
-                                                  10));
-            if (opt.seeds.empty())
-                opt.seeds.push_back(1);
         } else if (arg == "--nodes") {
             const char *v = value();
-            if (!v)
+            if (!v || !parseNumberList(arg, v, 1, maxNodes, axes.nodes))
                 return false;
-            opt.nodeList.clear();
-            for (const auto &s : splitList(v))
-                opt.nodeList.push_back(
-                    unsigned(std::strtoul(s.c_str(), nullptr, 10)));
-            if (opt.nodeList.empty()) {
-                std::fprintf(stderr, "pcsim: bad --nodes '%s'\n", v);
-                return false;
-            }
-            opt.nodes = opt.nodeList.front();
-            if (opt.nodeList.size() > 1 && opt.command != "scale" &&
+            if (axes.nodes.size() > 1 && opt.command != "scale" &&
                 opt.command != "serve" && opt.command != "compare") {
                 std::fprintf(stderr,
                              "pcsim: --nodes takes one value outside "
@@ -362,14 +397,12 @@ parseArgs(int argc, char **argv, Options &opt, int first = 2)
                 return false;
             }
         } else if (arg == "--coarse") {
-            const char *v = value();
-            if (!v)
+            if (!number(axes.coarse, 1, maxNodes))
                 return false;
-            opt.coarse = unsigned(std::strtoul(v, nullptr, 10));
-            if (!isPowerOfTwo(opt.coarse)) {
-                std::fprintf(stderr, "pcsim: --coarse '%s' must be a "
-                                     "power of two >= 1\n",
-                             v);
+            if (!isPowerOfTwo(axes.coarse)) {
+                std::fprintf(stderr, "pcsim: --coarse %u must be a "
+                                     "power of two\n",
+                             axes.coarse);
                 return false;
             }
         } else if (arg == "--scale") {
@@ -377,132 +410,84 @@ parseArgs(int argc, char **argv, Options &opt, int first = 2)
             if (!v)
                 return false;
             char *end = nullptr;
-            opt.scale = std::strtod(v, &end);
-            opt.scaleSet = true;
-            if (end == v || *end != '\0' || opt.scale <= 0) {
+            axes.scale = std::strtod(v, &end);
+            if (end == v || *end != '\0' || !std::isfinite(*axes.scale) ||
+                *axes.scale <= 0) {
                 std::fprintf(stderr, "pcsim: bad --scale '%s'\n", v);
                 return false;
             }
         } else if (arg == "--parallel-run") {
             // Bare flag defaults to 4 shards; never consumes the next
             // argument (the count rides inline as --parallel-run=S).
-            if (inline_value) {
-                char *end = nullptr;
-                opt.parallelShards =
-                    unsigned(std::strtoul(inline_value, &end, 10));
-                if (end == inline_value || *end != '\0' ||
-                    opt.parallelShards == 0) {
-                    std::fprintf(stderr,
-                                 "pcsim: bad --parallel-run '%s'\n",
-                                 inline_value);
-                    return false;
-                }
-            } else {
-                opt.parallelShards = 4;
-            }
+            axes.shards = 4;
+            if (inline_value && !parseNumber(arg, inline_value, 1,
+                                             maxThreads, axes.shards))
+                return false;
         } else if (arg == "--parallel") {
             opt.parallelBench = true;
         } else if (arg == "-j" || arg == "--jobs") {
-            const char *v = value();
-            if (!v)
+            if (!number(opt.out.threads, 0, maxThreads))
                 return false;
-            opt.threads = unsigned(std::strtoul(v, nullptr, 10));
             opt.threadsSet = true;
         } else if (arg == "--json") {
-            const char *v = value();
-            if (!v)
+            if (!text(opt.out.jsonPath))
                 return false;
-            opt.jsonPath = v;
         } else if (arg == "--csv") {
-            const char *v = value();
-            if (!v)
+            if (!text(opt.out.csvPath))
                 return false;
-            opt.csvPath = v;
         } else if (arg == "--figure") {
-            const char *v = value();
-            if (!v)
+            if (!number(opt.figure, 1, 99))
                 return false;
-            opt.figure = int(std::strtol(v, nullptr, 10));
         } else if (arg == "--table" && opt.command == "sweep" &&
                    (inline_value || i + 1 < argc)) {
-            const char *v = value();
-            if (!v)
+            if (!number(opt.tableNum, 1, 99))
                 return false;
-            opt.tableNum = int(std::strtol(v, nullptr, 10));
         } else if (arg == "--scenario" || arg == "--scenarios") {
-            const char *v = value();
-            if (!v)
+            if (!list(axes.scenarios))
                 return false;
-            opt.scenarioList = splitList(v);
-        } else if (arg == "--arbitration" ||
-                   arg == "--arbitrations") {
-            const char *v = value();
-            if (!v)
+        } else if (arg == "--arbitration" || arg == "--arbitrations") {
+            if (!list(axes.arbitrations))
                 return false;
-            opt.arbitrationList = splitList(v);
         } else if (arg == "--events") {
-            const char *v = value();
-            if (!v)
+            if (!number(opt.benchEvents, 1, u64max))
                 return false;
-            opt.benchEvents = std::strtoull(v, nullptr, 10);
-            if (opt.benchEvents == 0) {
-                std::fprintf(stderr, "pcsim: bad --events '%s'\n", v);
-                return false;
-            }
         } else if (arg == "--repeats") {
-            const char *v = value();
-            if (!v)
+            if (!number(opt.benchRepeats, 1, 1000))
                 return false;
-            opt.benchRepeats =
-                unsigned(std::strtoul(v, nullptr, 10));
             opt.repeatsSet = true;
-            if (opt.benchRepeats == 0) {
-                std::fprintf(stderr, "pcsim: bad --repeats '%s'\n", v);
-                return false;
-            }
         } else if (arg == "--baseline") {
-            const char *v = value();
-            if (!v)
+            if (!text(opt.baselinePath))
                 return false;
-            opt.baselinePath = v;
         } else if (arg == "--output" || arg == "-o") {
-            const char *v = value();
-            if (!v)
+            if (!text(opt.outputPath))
                 return false;
-            opt.outputPath = v;
         } else if (arg == "--text") {
             opt.textMode = true;
         } else if (arg == "--timing") {
-            opt.timing = true;
+            opt.out.timing = true;
         } else if (arg == "--checker") {
-            opt.checker = true;
+            axes.checker = true;
         } else if (arg == "--conformance") {
-            opt.conformance = true;
+            axes.conformance = true;
         } else if (arg == "--no-mc") {
             opt.lintMc = false;
         } else if (arg == "--policy") {
-            const char *v = value();
-            if (!v)
+            if (!text(opt.lintPolicy))
                 return false;
-            opt.lintPolicy = v;
         } else if (arg == "--coverage") {
-            const char *v = value();
-            if (!v)
+            if (!text(opt.coveragePath))
                 return false;
-            opt.coveragePath = v;
         } else if (arg == "--mdg") {
             opt.lintMode = "mdg";
         } else if (arg == "--liveness") {
             opt.lintMode = "liveness";
         } else if (arg == "--repro") {
-            const char *v = value();
-            if (!v)
+            if (!text(opt.reproPath))
                 return false;
-            opt.reproPath = v;
         } else if (arg == "--deterministic-check") {
-            opt.deterministicCheck = true;
+            opt.out.deterministicCheck = true;
         } else if (arg == "--no-table") {
-            opt.table = false;
+            opt.out.table = false;
         } else if (arg == "--quiet" || arg == "-q") {
             opt.quiet = true;
         } else if (arg.size() && arg[0] != '-' &&
@@ -525,24 +510,20 @@ listCommand()
         std::printf("  %s\n", w.c_str());
     std::printf("\nconfigurations (16-node presets, see "
                 "src/system/presets.hh):\n");
-    std::printf("  %-12s baseline directory protocol\n", "base");
-    std::printf("  %-12s base + 32K remote access cache (alias: "
-                "rac)\n",
-                "rac32k");
-    std::printf("  %-12s base + 1M remote access cache\n", "rac1m");
-    std::printf("  %-12s 32-entry deledc & 32K RAC (alias: pcopt)\n",
-                "small");
-    std::printf("  %-12s 1K-entry deledc & 1M RAC (alias: "
-                "pcopt-large)\n",
-                "large");
-    std::printf("  %-12s delegation without speculative updates\n",
-                "delegation");
-    std::printf("  %-12s Dragon-style write-update protocol (alias: "
-                "update)\n",
-                "write-update");
-    std::printf("  %-12s write-update with per-line self-"
-                "invalidation (alias: adaptive)\n",
-                "adaptive-hybrid");
+    const char *const configs[][2] = {
+        {"base", "baseline directory protocol"},
+        {"rac32k", "base + 32K remote access cache (alias: rac)"},
+        {"rac1m", "base + 1M remote access cache"},
+        {"small", "32-entry deledc & 32K RAC (alias: pcopt)"},
+        {"large", "1K-entry deledc & 1M RAC (alias: pcopt-large)"},
+        {"delegation", "delegation without speculative updates"},
+        {"write-update",
+         "Dragon-style write-update protocol (alias: update)"},
+        {"adaptive-hybrid", "write-update with per-line "
+                            "self-invalidation (alias: adaptive)"},
+    };
+    for (const auto &[name, what] : configs)
+        std::printf("  %-12s %s\n", name, what);
     std::printf("\ncoherence policies (pcsim compare / lint "
                 "--policy):\n");
     for (ProtocolKind kind : registeredPolicyKinds())
@@ -550,219 +531,26 @@ listCommand()
     return 0;
 }
 
-/**
- * Serialize + write the requested outputs; returns the JSON doc.
- * Sets io_ok to false when a requested output file could not be
- * written (callers turn that into a nonzero exit).
- */
-JsonValue
-emitResults(const std::vector<runner::JobResult> &results,
-            const Options &opt, bool &io_ok)
-{
-    JsonValue doc = runner::resultsToJson(results, opt.timing);
-    io_ok = true;
-    if (!opt.jsonPath.empty())
-        io_ok &= runner::writeTextFile(opt.jsonPath, doc.dump(2) + "\n");
-    if (!opt.csvPath.empty())
-        io_ok &= runner::writeTextFile(
-            opt.csvPath, runner::resultsToCsv(results, opt.timing));
-    return doc;
-}
-
+/** run / serve / compare / faults / qos / sweep: one preset of the
+ *  shared sweep path (src/runner/sweep.hh). */
 int
-failedCount(const std::vector<runner::JobResult> &results)
+presetCommand(const Options &opt)
 {
-    int failed = 0;
-    for (const auto &r : results)
-        failed += r.ok ? 0 : 1;
-    return failed;
-}
-
-/**
- * Run the set twice and byte-compare the serialized results.
- * @return 0 when identical, 3 on mismatch.
- */
-int
-deterministicCheck(const runner::JobSet &set,
-                   const runner::RunnerOptions &ropts)
-{
-    // Serialize without host timing: wall-clock rates differ between
-    // two otherwise identical runs.
-    const std::string a =
-        runner::resultsToJson(runner::runJobs(set, ropts),
-                              /*with_timing=*/false)
-            .dump(2);
-    const std::string b =
-        runner::resultsToJson(runner::runJobs(set, ropts),
-                              /*with_timing=*/false)
-            .dump(2);
-    if (a == b) {
-        std::fprintf(stderr,
-                     "deterministic-check: OK (%zu jobs, %zu bytes "
-                     "identical)\n",
-                     set.size(), a.size());
-        return 0;
-    }
-    std::size_t off = 0;
-    while (off < a.size() && off < b.size() && a[off] == b[off])
-        ++off;
-    std::fprintf(stderr,
-                 "deterministic-check: MISMATCH at byte %zu "
-                 "(results differ between two identical runs)\n",
-                 off);
-    return 3;
-}
-
-int
-runCommand(const Options &opt)
-{
-    if (opt.workloads.empty()) {
-        std::fprintf(stderr,
-                     "pcsim run: --workload is required (try 'pcsim "
-                     "list')\n");
+    std::string name = opt.command;
+    if (name == "sweep")
+        name = opt.figure ? "fig" + std::to_string(opt.figure)
+                          : "table" + std::to_string(opt.tableNum);
+    const runner::SweepPreset *preset = runner::findPreset(name);
+    if (!preset) {
+        std::fprintf(stderr, "pcsim sweep: pick --figure "
+                             "7|8|9|10|11|12 or --table 2|3\n");
         return 1;
     }
-
-    runner::JobSet set;
-    for (const auto &w : opt.workloads) {
-        const std::string canonical = runner::canonicalWorkload(w);
-        if (canonical.empty()) {
-            std::fprintf(stderr, "pcsim: unknown workload '%s'\n",
-                         w.c_str());
-            return 1;
-        }
-        for (const auto &c : opt.configs) {
-            MachineConfig cfg;
-            std::string cname;
-            if (!runner::namedMachineConfig(c, opt.nodes, cfg,
-                                            cname)) {
-                std::fprintf(stderr, "pcsim: unknown config '%s'\n",
-                             c.c_str());
-                return 1;
-            }
-            cfg.proto.checkerEnabled = opt.checker;
-            cfg.proto.conformanceEnabled = opt.conformance;
-            cfg.proto.sharerGranularityLog2 = log2Ceil(opt.coarse);
-            const std::string verr = cfg.proto.validateError();
-            if (!verr.empty()) {
-                std::fprintf(stderr,
-                             "pcsim: invalid configuration '%s' at "
-                             "%u nodes: %s\n",
-                             cname.c_str(), opt.nodes, verr.c_str());
-                return 1;
-            }
-            for (std::uint64_t seed : opt.seeds) {
-                runner::Job j;
-                j.workload = canonical;
-                j.cfg = cfg;
-                j.configName = cname;
-                j.seed = seed;
-                j.scale = opt.scale;
-                set.add(std::move(j));
-            }
-        }
-    }
-
-    for (auto &j : set.jobs())
-        j.cfg.shards = opt.parallelShards;
-
-    runner::RunnerOptions ropts;
-    ropts.threads = opt.threadsSet ? opt.threads : 1;
-    ropts.progress = !opt.quiet;
-
-    if (opt.deterministicCheck)
-        return deterministicCheck(set, ropts);
-
-    const auto results = runner::runJobs(set, ropts);
-    bool io_ok = true;
-    emitResults(results, opt, io_ok);
-
-    // Human summary unless JSON/CSV already went to stdout.
-    if (opt.jsonPath != "-" && opt.csvPath != "-") {
-        std::printf("%-24s | %-12s | %-12s | %-12s\n", "job", "cycles",
-                    "remote miss", "messages");
-        for (const auto &r : results) {
-            if (r.ok)
-                std::printf("%-24s | %-12llu | %-12llu | %-12llu\n",
-                            r.job.label.c_str(),
-                            (unsigned long long)r.result.cycles,
-                            (unsigned long long)
-                                r.result.nodes.remoteMisses,
-                            (unsigned long long)r.result.netMessages);
-            else
-                std::printf("%-24s | FAILED: %s\n",
-                            r.job.label.c_str(), r.error.c_str());
-        }
-    }
-    if (!io_ok)
-        return 1;
-    return failedCount(results) ? 2 : 0;
-}
-
-int
-sweepCommand(const Options &opt)
-{
-    runner::JobSet set;
-    std::string name;
-    void (*print)(const JsonValue &, std::FILE *) = nullptr;
-
-    if (opt.figure == 7) {
-        set = figures::figure7Jobs(opt.scale, opt.nodes);
-        print = figures::printFigure7;
-        name = "fig7";
-    } else if (opt.figure == 9) {
-        set = figures::figure9Jobs(opt.scale, opt.nodes);
-        print = figures::printFigure9;
-        name = "fig9";
-    } else if (opt.figure == 10) {
-        set = figures::figure10Jobs(opt.scale, opt.nodes);
-        print = figures::printFigure10;
-        name = "fig10";
-    } else if (opt.tableNum == 2) {
-        // Table 2 is static workload metadata; no simulations.
-        figures::printTable2(opt.scale, opt.nodes);
-        return 0;
-    } else {
-        std::fprintf(stderr,
-                     "pcsim sweep: pick --figure 7|9|10 or --table "
-                     "2\n");
-        return 1;
-    }
-
-    for (auto &j : set.jobs())
-        j.cfg.shards = opt.parallelShards;
-
-    runner::RunnerOptions ropts;
-    ropts.threads = opt.threadsSet ? opt.threads : 0; // 0 = all cores
-    ropts.progress = !opt.quiet;
-
-    if (opt.deterministicCheck)
-        return deterministicCheck(set, ropts);
-
-    const auto results = runner::runJobs(set, ropts);
-
-    Options emit_opt = opt;
-    if (emit_opt.jsonPath.empty())
-        emit_opt.jsonPath = "pcsim-" + name + ".results.json";
-    bool io_ok = true;
-    JsonValue doc = emitResults(results, emit_opt, io_ok);
-
-    if (opt.table) {
-        // The table is a formatting layer over the serialized
-        // document: re-read the file we just wrote when there is one
-        // on disk, otherwise format the in-memory serialization.
-        if (emit_opt.jsonPath != "-") {
-            std::fprintf(stderr, "results: %s\n",
-                         emit_opt.jsonPath.c_str());
-            std::string text;
-            if (runner::readTextFile(emit_opt.jsonPath, text))
-                doc = JsonValue::parse(text);
-        }
-        print(doc, stdout);
-    }
-    if (!io_ok)
-        return 1;
-    return failedCount(results) ? 2 : 0;
+    runner::SweepOptions sopt = opt.out;
+    if (!opt.threadsSet)
+        sopt.threads = preset->defaultThreads;
+    sopt.progress = !opt.quiet;
+    return runner::runPreset(*preset, opt.axes, sopt);
 }
 
 int
@@ -823,15 +611,15 @@ lintCoverage(const Options &opt)
     const verify::CoverageReport rep =
         verify::computeCoverage(spec, observed);
     bool io_ok = true;
-    if (!opt.jsonPath.empty())
+    if (!opt.out.jsonPath.empty())
         io_ok &= runner::writeTextFile(
-            opt.jsonPath,
+            opt.out.jsonPath,
             verify::coverageToJson(spec, rep).dump(2) + "\n");
-    if (!opt.csvPath.empty())
+    if (!opt.out.csvPath.empty())
         io_ok &= runner::writeTextFile(
-            opt.csvPath, verify::coverageToCsv(spec, rep));
+            opt.out.csvPath, verify::coverageToCsv(spec, rep));
 
-    if (opt.jsonPath != "-" && opt.csvPath != "-") {
+    if (opt.out.jsonPath != "-" && opt.out.csvPath != "-") {
         std::printf("coverage: %llu of %llu legal transitions "
                     "exercised, %llu never seen\n",
                     (unsigned long long)rep.exercised,
@@ -892,14 +680,14 @@ lintOneSpec(const Options &opt, const verify::TransitionSpec &spec,
                    : verify::lintSpec(spec);
 
     bool io_ok = true;
-    if (!opt.jsonPath.empty())
+    if (!opt.out.jsonPath.empty())
         io_ok &= runner::writeTextFile(
-            opt.jsonPath, verify::lintToJson(spec, rep).dump(2) + "\n");
-    if (!opt.csvPath.empty())
-        io_ok &= runner::writeTextFile(opt.csvPath,
+            opt.out.jsonPath, verify::lintToJson(spec, rep).dump(2) + "\n");
+    if (!opt.out.csvPath.empty())
+        io_ok &= runner::writeTextFile(opt.out.csvPath,
                                        verify::lintToCsv(rep));
 
-    if (opt.jsonPath != "-" && opt.csvPath != "-")
+    if (opt.out.jsonPath != "-" && opt.out.csvPath != "-")
         printLintReport(spec, rep, label);
     if (!io_ok)
         return 1;
@@ -939,6 +727,29 @@ resolvePolicies(const std::string &which, std::vector<PolicySel> &out)
     return true;
 }
 
+/** Write an mdg/liveness findings document and print the pass's
+ *  summary line; 0 clean, 1 I/O error, 2 findings. */
+int
+finishFindings(const Options &opt, const char *mode, JsonValue policies,
+               std::size_t total, bool io_ok)
+{
+    if (!opt.out.jsonPath.empty())
+        io_ok &= runner::writeTextFile(
+            opt.out.jsonPath,
+            verify::lintFindingsDocument(mode, std::move(policies))
+                    .dump(2) +
+                "\n");
+    if (opt.out.jsonPath != "-") {
+        if (total)
+            std::printf("%s: %zu finding(s)\n", mode, total);
+        else
+            std::printf("%s: clean\n", mode);
+    }
+    if (!io_ok)
+        return 1;
+    return total ? 2 : 0;
+}
+
 int
 lintMdgCommand(const Options &opt)
 {
@@ -951,7 +762,7 @@ lintMdgCommand(const Options &opt)
     for (const PolicySel &sel : sels) {
         const verify::MdgReport rep = verify::analyzeMdg(*sel.spec);
         policies.push(verify::mdgPolicyJson(sel.name, *sel.spec, rep));
-        if (opt.jsonPath != "-") {
+        if (opt.out.jsonPath != "-") {
             std::printf("policy %s: %zu message types, %zu edges, "
                         "%zu sinks (%llu requester-bound, %llu "
                         "nack-protected edges exempt)\n",
@@ -972,22 +783,7 @@ lintMdgCommand(const Options &opt)
         total += rep.findings.size();
     }
 
-    bool io_ok = true;
-    if (!opt.jsonPath.empty())
-        io_ok &= runner::writeTextFile(
-            opt.jsonPath,
-            verify::lintFindingsDocument("mdg", std::move(policies))
-                    .dump(2) +
-                "\n");
-    if (opt.jsonPath != "-") {
-        if (total)
-            std::printf("mdg: %zu finding(s)\n", total);
-        else
-            std::printf("mdg: clean\n");
-    }
-    if (!io_ok)
-        return 1;
-    return total ? 2 : 0;
+    return finishFindings(opt, "mdg", std::move(policies), total, true);
 }
 
 /** Write the first witness carrying CPU ops as a PCTR repro trace. */
@@ -1028,7 +824,7 @@ lintLivenessCommand(const Options &opt)
         const verify::LivenessReport rep =
             verify::analyzeLiveness(sel.set);
         policies.push(verify::livenessPolicyJson(sel.name, rep));
-        if (opt.jsonPath != "-") {
+        if (opt.out.jsonPath != "-") {
             std::printf("policy %s:\n", sel.name.c_str());
             for (const auto &c : rep.configs) {
                 std::printf("  config %s: %llu states, %llu edges "
@@ -1068,7 +864,7 @@ lintLivenessCommand(const Options &opt)
                 io_ok &= writeLivenessRepro(opt.reproPath, f.config, 3,
                                             f.witness.ops);
                 wrote_repro = true;
-                if (opt.jsonPath != "-")
+                if (opt.out.jsonPath != "-")
                     std::printf("repro trace written to %s\n",
                                 opt.reproPath.c_str());
                 break;
@@ -1076,22 +872,8 @@ lintLivenessCommand(const Options &opt)
         }
     }
 
-    if (!opt.jsonPath.empty())
-        io_ok &= runner::writeTextFile(
-            opt.jsonPath,
-            verify::lintFindingsDocument("liveness",
-                                         std::move(policies))
-                    .dump(2) +
-                "\n");
-    if (opt.jsonPath != "-") {
-        if (total)
-            std::printf("liveness: %zu finding(s)\n", total);
-        else
-            std::printf("liveness: clean\n");
-    }
-    if (!io_ok)
-        return 1;
-    return total ? 2 : 0;
+    return finishFindings(opt, "liveness", std::move(policies), total,
+                          io_ok);
 }
 
 int
@@ -1114,7 +896,7 @@ lintCommand(const Options &opt)
     }
 
     if (opt.lintPolicy == "all") {
-        if (!opt.csvPath.empty()) {
+        if (!opt.out.csvPath.empty()) {
             std::fprintf(stderr,
                          "pcsim lint: --policy=all cannot combine "
                          "with --csv (lint one policy per CSV)\n");
@@ -1124,22 +906,21 @@ lintCommand(const Options &opt)
         // {"mode": "spec"} envelope; without it, print each policy.
         JsonValue policies = JsonValue::array();
         int worst = 0;
-        for (ProtocolKind kind : registeredPolicyKinds()) {
-            const CoherencePolicy &p = policyFor(kind);
+        std::vector<PolicySel> sels;
+        resolvePolicies("all", sels);
+        for (const PolicySel &p : sels) {
             const verify::LintReport rep =
-                opt.lintMc ? verify::lintSpecWithModel(
-                                 p.spec(), modelCheckSetFor(kind))
-                           : verify::lintSpec(p.spec());
-            if (!opt.jsonPath.empty())
-                policies.push(
-                    verify::lintPolicyJson(p.name(), p.spec(), rep));
-            if (opt.jsonPath != "-")
-                printLintReport(p.spec(), rep, p.name());
+                opt.lintMc ? verify::lintSpecWithModel(*p.spec, p.set)
+                           : verify::lintSpec(*p.spec);
+            if (!opt.out.jsonPath.empty())
+                policies.push(verify::lintPolicyJson(p.name, *p.spec, rep));
+            if (opt.out.jsonPath != "-")
+                printLintReport(*p.spec, rep, p.name.c_str());
             worst = std::max(worst, rep.clean() ? 0 : 2);
         }
-        if (!opt.jsonPath.empty()) {
+        if (!opt.out.jsonPath.empty()) {
             if (!runner::writeTextFile(
-                    opt.jsonPath,
+                    opt.out.jsonPath,
                     verify::lintFindingsDocument("spec",
                                                  std::move(policies))
                             .dump(2) +
@@ -1149,18 +930,11 @@ lintCommand(const Options &opt)
         return worst;
     }
 
-    ProtocolKind kind;
-    if (!protocolKindFromName(opt.lintPolicy, kind)) {
-        std::fprintf(stderr,
-                     "pcsim lint: unknown policy '%s' (pick one of "
-                     "mesi-dir, delegation, delegation-updates, "
-                     "write-update, adaptive-hybrid, or 'all')\n",
-                     opt.lintPolicy.c_str());
+    std::vector<PolicySel> sels;
+    if (!resolvePolicies(opt.lintPolicy, sels))
         return 1;
-    }
-    const CoherencePolicy &p = policyFor(kind);
-    return lintOneSpec(opt, p.spec(), modelCheckSetFor(kind),
-                       p.name());
+    return lintOneSpec(opt, *sels[0].spec, sels[0].set,
+                       sels[0].name.c_str());
 }
 
 } // namespace
@@ -1196,14 +970,17 @@ main(int argc, char **argv)
     if (cmd == "trace") {
         if (traceAction == "record") {
             runner::TraceRecordOptions topt;
-            if (!opt.workloads.empty())
-                topt.workload = opt.workloads.front();
-            topt.config = opt.configs.front();
-            topt.nodes = opt.nodes;
-            topt.scale = opt.scale;
-            topt.seed = opt.seeds.front();
+            const runner::SweepAxes &axes = opt.axes;
+            if (!axes.workloads.empty())
+                topt.workload = axes.workloads.front();
+            if (!axes.configs.empty())
+                topt.config = axes.configs.front();
+            if (!axes.nodes.empty())
+                topt.nodes = axes.nodes.front();
+            topt.scale = axes.scale.value_or(1.0);
+            topt.seed = axes.seeds.front();
             topt.outPath = opt.outputPath;
-            topt.jsonPath = opt.jsonPath;
+            topt.jsonPath = opt.out.jsonPath;
             topt.quiet = opt.quiet;
             if (opt.textMode) {
                 if (opt.positional.empty()) {
@@ -1222,31 +999,27 @@ main(int argc, char **argv)
             }
             return runner::runTraceRecord(topt);
         }
+        if ((traceAction == "replay" || traceAction == "info") &&
+            opt.positional.size() != 1) {
+            std::fprintf(stderr, "pcsim trace %s: exactly one trace "
+                                 "file operand required\n",
+                         traceAction.c_str());
+            return 1;
+        }
         if (traceAction == "replay") {
             runner::TraceReplayOptions topt;
-            if (opt.positional.size() != 1) {
-                std::fprintf(stderr, "pcsim trace replay: exactly one "
-                                     "trace file operand required\n");
-                return 1;
-            }
             topt.tracePath = opt.positional.front();
-            if (opt.configsSet)
-                topt.config = opt.configs.front();
-            topt.threads = opt.threadsSet ? opt.threads : 1;
-            topt.jsonPath = opt.jsonPath;
-            topt.csvPath = opt.csvPath;
-            topt.quiet = opt.quiet;
-            topt.timing = opt.timing;
+            if (!opt.axes.configs.empty())
+                topt.config = opt.axes.configs.front();
+            topt.out = opt.out;
+            if (!opt.threadsSet)
+                topt.out.threads = 1;
+            topt.out.progress = !opt.quiet;
+            topt.out.table = false;
             return runner::runTraceReplay(topt);
         }
-        if (traceAction == "info") {
-            if (opt.positional.size() != 1) {
-                std::fprintf(stderr, "pcsim trace info: exactly one "
-                                     "trace file operand required\n");
-                return 1;
-            }
+        if (traceAction == "info")
             return runner::runTraceInfo(opt.positional.front());
-        }
         std::fprintf(stderr,
                      "pcsim trace: unknown action '%s' (pick record, "
                      "replay or info)\n",
@@ -1254,128 +1027,44 @@ main(int argc, char **argv)
         return 1;
     }
 
-    if (cmd == "serve") {
-        runner::ServeOptions sopt;
-        sopt.scenarios = opt.scenarioList;
-        if (!opt.nodeList.empty())
-            sopt.nodes = opt.nodeList;
-        if (opt.scaleSet)
-            sopt.scale = opt.scale;
-        sopt.seed = opt.seeds.front();
-        sopt.threads = opt.threadsSet ? opt.threads : 0;
-        sopt.jsonPath =
-            opt.jsonPath.empty() ? "BENCH_serve.json" : opt.jsonPath;
-        sopt.csvPath = opt.csvPath;
-        sopt.quiet = opt.quiet;
-        sopt.timing = opt.timing;
-        sopt.deterministicCheck = opt.deterministicCheck;
-        sopt.table = opt.table;
-        sopt.parallelShards = opt.parallelShards;
-        return runner::runServeSweep(sopt);
-    }
-
-    if (cmd == "compare") {
-        runner::CompareOptions copt;
-        copt.scenarios = opt.scenarioList;
-        if (!opt.nodeList.empty())
-            copt.nodes = opt.nodeList;
-        if (opt.scaleSet)
-            copt.scale = opt.scale;
-        copt.seed = opt.seeds.front();
-        copt.threads = opt.threadsSet ? opt.threads : 0;
-        copt.jsonPath = opt.jsonPath.empty() ? "BENCH_compare.json"
-                                             : opt.jsonPath;
-        copt.csvPath = opt.csvPath;
-        copt.quiet = opt.quiet;
-        copt.timing = opt.timing;
-        copt.deterministicCheck = opt.deterministicCheck;
-        copt.table = opt.table;
-        copt.parallelShards = opt.parallelShards;
-        return runner::runCompareSweep(copt);
-    }
-
-    if (cmd == "run")
-        return runCommand(opt);
-    if (cmd == "sweep")
-        return sweepCommand(opt);
+    if (cmd == "run" || cmd == "sweep" || cmd == "serve" ||
+        cmd == "compare" || cmd == "faults" || cmd == "qos")
+        return presetCommand(opt);
     if (cmd == "lint")
         return lintCommand(opt);
     if (cmd == "scale") {
         runner::ScaleOptions sopt;
-        sopt.nodeCounts = opt.nodeList;
-        if (!opt.workloads.empty()) {
-            if (opt.workloads.size() > 1) {
+        sopt.nodeCounts = opt.axes.nodes;
+        const auto &workloads = opt.axes.workloads;
+        if (!workloads.empty()) {
+            if (workloads.size() > 1) {
                 std::fprintf(stderr, "pcsim scale: one workload "
                                      "only\n");
                 return 1;
             }
             const std::string canonical =
-                runner::canonicalWorkload(opt.workloads[0]);
+                runner::canonicalWorkload(workloads[0]);
             if (canonical.empty()) {
                 std::fprintf(stderr, "pcsim: unknown workload '%s'\n",
-                             opt.workloads[0].c_str());
+                             workloads[0].c_str());
                 return 1;
             }
             sopt.workload = canonical;
         }
-        if (opt.scaleSet)
-            sopt.scale = opt.scale;
+        if (opt.axes.scale)
+            sopt.scale = *opt.axes.scale;
         if (opt.repeatsSet)
             sopt.repeats = opt.benchRepeats;
-        sopt.jsonPath = opt.jsonPath;
+        sopt.jsonPath = opt.out.jsonPath;
         sopt.quiet = opt.quiet;
-        sopt.parallelShards = opt.parallelShards;
+        sopt.parallelShards = opt.axes.shards;
         return runner::runScaleSweep(sopt);
-    }
-    if (cmd == "faults" || cmd == "qos") {
-        runner::FaultsOptions fopt;
-        if (!opt.workloads.empty()) {
-            if (opt.workloads.size() > 1) {
-                std::fprintf(stderr, "pcsim %s: one workload only\n",
-                             cmd.c_str());
-                return 1;
-            }
-            const std::string canonical =
-                runner::canonicalWorkload(opt.workloads[0]);
-            if (canonical.empty()) {
-                std::fprintf(stderr, "pcsim: unknown workload '%s'\n",
-                             opt.workloads[0].c_str());
-                return 1;
-            }
-            fopt.workload = canonical;
-        }
-        if (opt.scaleSet)
-            fopt.scale = opt.scale;
-        fopt.nodes = opt.nodes;
-        fopt.scenarios = opt.scenarioList;
-        fopt.arbitrations = opt.arbitrationList;
-        if (cmd == "qos") {
-            // The fairness bake-off: contention scenarios crossed
-            // with every arbitration mode (BENCH_qos.json).
-            if (fopt.scenarios.empty())
-                fopt.scenarios = {"storm", "hotspot"};
-            if (fopt.arbitrations.empty())
-                fopt.arbitrations = {"nack-retry", "queue",
-                                     "aged-priority"};
-        }
-        fopt.seed = opt.seeds.front();
-        fopt.threads = opt.threadsSet ? opt.threads : 0;
-        const char *default_json =
-            cmd == "qos" ? "BENCH_qos.json" : "BENCH_faults.json";
-        fopt.jsonPath =
-            opt.jsonPath.empty() ? default_json : opt.jsonPath;
-        fopt.csvPath = opt.csvPath;
-        fopt.quiet = opt.quiet;
-        fopt.deterministicCheck = opt.deterministicCheck;
-        fopt.table = opt.table;
-        fopt.parallelShards = opt.parallelShards;
-        return runner::runFaultSweep(fopt);
     }
     if (cmd == "bench") {
         runner::BenchOptions bopt;
         bopt.kernelEvents = opt.benchEvents;
         bopt.repeats = opt.benchRepeats;
-        bopt.jsonPath = opt.jsonPath;
+        bopt.jsonPath = opt.out.jsonPath;
         bopt.baselinePath = opt.baselinePath;
         bopt.quiet = opt.quiet;
         if (opt.parallelBench) {

@@ -237,7 +237,7 @@ CacheController::sendRequest(Mshr &m)
     // Routing: producer table (delegated to me -> handled by my own
     // ProducerController), then consumer-table hint, then the home.
     NodeId target;
-    if (_cfg.delegationEnabled() && _hub.prodCtrl().isDelegated(m.addr)) {
+    if (delegates(_cfg.kind) && _hub.prodCtrl().isDelegated(m.addr)) {
         target = _hub.id();
     } else {
         target = invalidNode;
@@ -489,10 +489,10 @@ CacheController::complete(Mshr &m)
 
     // Delegated lines: tell the producer engine the write epoch
     // completed so it can arm the delayed intervention.
-    if (was_write && _cfg.delegationEnabled() &&
+    if (was_write && delegates(_cfg.kind) &&
         _hub.prodCtrl().isDelegated(line)) {
         _hub.prodCtrl().onLocalWriteComplete(line);
-    } else if (_cfg.delegationEnabled() && _cfg.arbitrationActive() &&
+    } else if (delegates(_cfg.kind) && _cfg.arbitrationActive() &&
                _hub.prodCtrl().isDelegated(line)) {
         // A read completion freed the MSHR that was blocking parked
         // remote requests at our producer engine.
@@ -560,7 +560,7 @@ CacheController::evictVictim(Addr victim, L2Entry &v)
     const bool owned = v.state == LineState::Modified ||
                        v.state == LineState::Exclusive;
 
-    if (_cfg.delegationEnabled() && _hub.prodCtrl().isDelegated(victim)) {
+    if (delegates(_cfg.kind) && _hub.prodCtrl().isDelegated(victim)) {
         // Flush of a delegated line: the pinned RAC entry is the
         // surrogate memory; absorb the data there and keep the
         // delegation (see DESIGN.md, undelegation reason 2).

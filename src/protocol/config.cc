@@ -164,7 +164,7 @@ ProtocolConfig::validateError() const
             rac.sizeBytes < rac.ways * rac.lineBytes)
             return "RAC geometry is degenerate (size/ways/lineBytes)";
     }
-    if (delegationEnabled()) {
+    if (delegates(kind)) {
         if (!racEnabled)
             return std::string("protocol kind '") +
                    protocolKindName(kind) +

@@ -45,6 +45,21 @@ enum class ProtocolKind : std::uint8_t
     NumProtocolKinds
 };
 
+/** @p k uses HPCA'07 directory delegation (Section 2.3). */
+constexpr bool
+delegates(ProtocolKind k)
+{
+    return k == ProtocolKind::Delegation ||
+           k == ProtocolKind::DelegationUpdates;
+}
+
+/** @p k pushes speculative updates to consumers (Section 2.4). */
+constexpr bool
+pushesUpdates(ProtocolKind k)
+{
+    return k == ProtocolKind::DelegationUpdates;
+}
+
 /** Display name of @p k ("mesi-dir", "delegation", ...). */
 const char *protocolKindName(ProtocolKind k);
 
@@ -168,22 +183,9 @@ struct ProtocolConfig
 
     // --- coherence policy ---------------------------------------
 
-    /** The coherence policy (replaces the old delegationEnabled /
-     *  updatesEnabled bool pair; those remain as accessors below so
-     *  call sites read the same). */
+    /** The coherence policy (see delegates() / pushesUpdates()). */
     ProtocolKind kind = ProtocolKind::MesiDir;
 
-    /** HPCA'07 directory delegation is active (Section 2.3). */
-    bool delegationEnabled() const
-    {
-        return kind == ProtocolKind::Delegation ||
-               kind == ProtocolKind::DelegationUpdates;
-    }
-    /** Speculative update pushes are active (Section 2.4). */
-    bool updatesEnabled() const
-    {
-        return kind == ProtocolKind::DelegationUpdates;
-    }
     /** Stores propagate by updating sharers instead of invalidating
      *  them (WriteUpdate and AdaptiveHybrid). */
     bool updateBased() const

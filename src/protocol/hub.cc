@@ -19,14 +19,12 @@ Hub::Hub(EventQueue &eq, Network &net, MemoryMap &mem_map,
       _checker(checker),
       _policy(&policyFor(cfg.kind))
 {
-    if (cfg.delegationEnabled() && !cfg.racEnabled)
+    if (delegates(cfg.kind) && !cfg.racEnabled)
         fatal("delegation requires a RAC (pinned surrogate memory)");
-    if (cfg.updatesEnabled() && !cfg.delegationEnabled())
-        fatal("speculative updates require delegation");
 
     if (cfg.racEnabled)
         _rac = std::make_unique<Rac>(cfg.rac, rng.fork());
-    if (cfg.delegationEnabled())
+    if (delegates(cfg.kind))
         _delegate = std::make_unique<DelegateCache>(cfg.delegate,
                                                     rng.fork());
 
@@ -86,7 +84,7 @@ Hub::handleMessage(const Message &msg)
       case MsgType::ReqShared:
       case MsgType::ReqExcl:
       case MsgType::ReqUpgrade:
-        if (_cfg.delegationEnabled() && _prodCtrl->isDelegated(msg.addr)) {
+        if (delegates(_cfg.kind) && _prodCtrl->isDelegated(msg.addr)) {
             _prodCtrl->handleRequest(msg);
         } else if (homeOf(msg.addr) == _id) {
             _dirCtrl->handleRequest(msg);

@@ -135,7 +135,7 @@ class MesiDelePolicy : public CoherencePolicy
         // is self-delegated: requests were already 2-hop, but the
         // delayed intervention + speculative update machinery still
         // converts the consumers' 2-hop misses into local misses.
-        if (cfg.delegationEnabled() && detected &&
+        if (delegates(cfg.kind) && detected &&
             e.detector.producer() == req &&
             (d.state == DirState::Shared ||
              d.state == DirState::Unowned)) {

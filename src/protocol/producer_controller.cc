@@ -185,7 +185,7 @@ ProducerController::maybeDrain(Addr line)
         return; // local transaction in flight; completion re-triggers
     const Message &next = _arb.peek(line);
     if (next.type == MsgType::ReqShared &&
-        e->dir.state == DirState::Excl && _cfg.updatesEnabled() &&
+        e->dir.state == DirState::Excl && pushesUpdates(_cfg.kind) &&
         e->intervPending) {
         // The speculative push is imminent and will carry the data;
         // completeEpoch re-triggers the drain.
@@ -340,7 +340,7 @@ ProducerController::serveRemoteRead(const Message &msg, ProducerEntry &e)
     const NodeId req = msg.requester;
 
     if (e.dir.state == DirState::Excl) {
-        if (_cfg.updatesEnabled() && e.intervPending &&
+        if (pushesUpdates(_cfg.kind) && e.intervPending &&
             e.pendingNacks == 0) {
             // The push is imminent; by the time the requester retries
             // it will normally find the update in its RAC ("the
@@ -393,7 +393,7 @@ ProducerController::onLocalWriteComplete(Addr line)
     ++e->epochs;
     e->pendingNacks = 0;
 
-    const bool arm = _cfg.updatesEnabled() && !e->intervPending &&
+    const bool arm = pushesUpdates(_cfg.kind) && !e->intervPending &&
                      _cfg.interventionDelay != maxTick;
     // ("infinite" interventionDelay never intervenes; Figure 9.)
     if (arm) {
@@ -458,7 +458,7 @@ ProducerController::completeEpoch(Addr line, ProducerEntry &e,
     e.dir.sharers.add(self);
     e.dir.owner = invalidNode;
 
-    if (_cfg.updatesEnabled() && _cfg.interventionDelay != maxTick) {
+    if (pushesUpdates(_cfg.kind) && _cfg.interventionDelay != maxTick) {
         // Push the new data to the predicted consumers (Section
         // 2.4.2: the nodes that consumed the last version). With an
         // "infinite" delay (Figure 9) there are no speculative

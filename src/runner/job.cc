@@ -198,15 +198,6 @@ const ConfigEntry configTable[] = {
 
 } // namespace
 
-std::vector<std::string>
-configNames()
-{
-    std::vector<std::string> names;
-    for (const auto &e : configTable)
-        names.push_back(e.name);
-    return names;
-}
-
 bool
 namedMachineConfig(const std::string &name, unsigned num_nodes,
                    MachineConfig &out, std::string &canonical)

@@ -104,9 +104,6 @@ std::unique_ptr<Workload> makeRunnerWorkload(const std::string &name,
 
 // --- configuration registry --------------------------------------
 
-/** All named machine configurations usable from the CLI. */
-std::vector<std::string> configNames();
-
 /**
  * Look up a machine configuration preset by name (case-insensitive;
  * "pcopt" is the paper's small delegate+update system, "pcopt-large"

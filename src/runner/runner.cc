@@ -24,15 +24,13 @@ secondsSince(Clock::time_point start)
 
 /** Execute one job into its preallocated result slot. */
 void
-executeJob(const Job &job, const RunnerOptions &opts, JobResult &out)
+executeJob(const Job &job, JobResult &out)
 {
     const auto start = Clock::now();
     out.job = job;
     try {
         MachineConfig cfg = job.cfg;
         cfg.seed = job.seed;
-        if (opts.checker)
-            cfg.proto.checkerEnabled = *opts.checker;
 
         std::unique_ptr<Workload> wl =
             job.factory ? job.factory()
@@ -92,7 +90,7 @@ runJobs(const JobSet &set, const RunnerOptions &opts)
             if (idx >= jobs.size())
                 return;
             JobResult &slot = results[idx];
-            executeJob(jobs[idx], opts, slot);
+            executeJob(jobs[idx], slot);
             const std::size_t done =
                 completed.fetch_add(1, std::memory_order_relaxed) + 1;
             if (opts.progress) {

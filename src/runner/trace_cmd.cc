@@ -4,8 +4,6 @@
 #include <memory>
 #include <utility>
 
-#include "src/runner/results.hh"
-#include "src/runner/runner.hh"
 #include "src/trace/recorder.hh"
 #include "src/trace/replay.hh"
 #include "src/trace/text_ingest.hh"
@@ -96,24 +94,22 @@ runTraceRecord(const TraceRecordOptions &opt)
             makeRunnerWorkload(workload, nodes, scale), recorder);
     };
 
+    trace::TraceMeta meta;
+    meta.nodeCount = opt.nodes;
+    meta.lineBytes = j.cfg.proto.lineBytes;
+    meta.coarse = 1u << j.cfg.proto.sharerGranularityLog2;
     JobSet set;
     set.add(std::move(j));
 
-    RunnerOptions ropts;
-    ropts.threads = 1;
-    ropts.progress = !opt.quiet;
-    const auto results = runJobs(set, ropts);
-    if (!results[0].ok) {
-        std::fprintf(stderr, "pcsim trace record: run failed: %s\n",
-                     results[0].error.c_str());
-        return 2;
-    }
+    // One thread: every op lands in the one recorder.
+    SweepOptions run;
+    run.threads = 1;
+    run.progress = !opt.quiet;
+    run.jsonPath = opt.jsonPath;
+    run.table = false;
+    if (const int rc = runSweep(set, run))
+        return rc;
 
-    trace::TraceMeta meta;
-    meta.nodeCount = opt.nodes;
-    meta.lineBytes = results[0].job.cfg.proto.lineBytes;
-    meta.coarse =
-        1u << results[0].job.cfg.proto.sharerGranularityLog2;
     meta.seed = opt.seed;
     meta.scale = opt.scale;
     meta.workload = workload;
@@ -128,13 +124,6 @@ runTraceRecord(const TraceRecordOptions &opt)
         std::fprintf(stderr, "recorded %llu ops -> %s\n",
                      (unsigned long long)recorder.opCount(),
                      opt.outPath.c_str());
-
-    if (!opt.jsonPath.empty() &&
-        !writeTextFile(
-            opt.jsonPath,
-            resultsToJson(results, /*with_timing=*/false).dump(2) +
-                "\n"))
-        return 1;
     return 0;
 }
 
@@ -185,31 +174,10 @@ runTraceReplay(const TraceReplayOptions &opt)
     JobSet set;
     set.add(std::move(j));
 
-    RunnerOptions ropts;
-    ropts.threads = opt.threads;
-    ropts.progress = !opt.quiet;
-    const auto results = runJobs(set, ropts);
-    if (!results[0].ok) {
-        std::fprintf(stderr, "pcsim trace replay: run failed: %s\n",
-                     results[0].error.c_str());
-        return 2;
-    }
-
-    bool io_ok = true;
-    if (!opt.jsonPath.empty())
-        io_ok &= writeTextFile(
-            opt.jsonPath,
-            resultsToJson(results, opt.timing).dump(2) + "\n");
-    if (!opt.csvPath.empty())
-        io_ok &= writeTextFile(opt.csvPath,
-                               resultsToCsv(results, opt.timing));
-    if (!opt.quiet)
-        std::fprintf(
-            stderr, "replayed %llu ops (%s/%s): %llu cycles\n",
-            (unsigned long long)data->totalOps(),
-            results[0].job.workload.c_str(), configName.c_str(),
-            (unsigned long long)results[0].result.cycles);
-    return io_ok ? 0 : 1;
+    if (opt.out.progress)
+        std::fprintf(stderr, "replaying %llu ops\n",
+                     (unsigned long long)data->totalOps());
+    return runSweep(set, opt.out);
 }
 
 int

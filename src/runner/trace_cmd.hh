@@ -24,6 +24,8 @@
 #include <string>
 #include <vector>
 
+#include "src/runner/sweep.hh"
+
 namespace pcsim
 {
 namespace runner
@@ -59,12 +61,8 @@ struct TraceReplayOptions
     /** Override the header's machine preset ("" = use the header's;
      *  ingested traces default to "base"). */
     std::string config;
-    /** Worker threads; 0 = all cores. */
-    unsigned threads = 1;
-    std::string jsonPath;
-    std::string csvPath;
-    bool quiet = false;
-    bool timing = false;
+    /** How the replay runs and what it writes (JSON/CSV). */
+    SweepOptions out;
 };
 
 /** @return process exit code: 0 ok, 1 usage/I-O error, 2 run or

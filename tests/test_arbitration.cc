@@ -15,9 +15,8 @@
 #include "src/protocol/config.hh"
 #include "src/protocol/hub.hh"
 #include "src/protocol/node_stats.hh"
-#include "src/runner/faults.hh"
 #include "src/runner/results.hh"
-#include "src/runner/runner.hh"
+#include "src/runner/sweep.hh"
 #include "src/system/presets.hh"
 #include "src/system/system.hh"
 #include "src/workload/workload.hh"
@@ -190,10 +189,15 @@ namespace
 runner::JobSet
 stormJobs(const std::string &arbitration)
 {
-    runner::FaultsOptions opt; // BENCH_qos defaults: 16 nodes, seed 1
-    opt.scenarios = {"storm"};
-    opt.arbitrations = {arbitration};
-    return runner::faultJobs(opt);
+    runner::SweepAxes axes; // BENCH_qos defaults: 16 nodes, seed 1
+    axes.scenarios = {"storm"};
+    axes.arbitrations = {arbitration};
+    runner::JobSet set;
+    std::string err;
+    EXPECT_TRUE(runner::buildGrid(*runner::findPreset("faults"), axes,
+                                  set, err))
+        << err;
+    return set;
 }
 
 /** Worst maxLineWaitTicks / p99 over the delegation and
@@ -248,13 +252,17 @@ TEST(Starvation, ParkedArbitrationBoundsWaitThatNackRetryGrows)
 
 TEST(ArbitrationIdentity, QueuedModesByteIdenticalAcrossThreads)
 {
-    runner::FaultsOptions opt;
-    opt.nodes = 8;
-    opt.scale = 0.2;
-    opt.seed = 3;
-    opt.scenarios = {"hotspot"};
-    opt.arbitrations = {"queue", "aged-priority"};
-    const runner::JobSet set = runner::faultJobs(opt);
+    runner::SweepAxes axes;
+    axes.nodes = {8};
+    axes.scale = 0.2;
+    axes.seeds = {3};
+    axes.scenarios = {"hotspot"};
+    axes.arbitrations = {"queue", "aged-priority"};
+    runner::JobSet set;
+    std::string err;
+    ASSERT_TRUE(runner::buildGrid(*runner::findPreset("faults"), axes,
+                                  set, err))
+        << err;
     ASSERT_EQ(set.size(), 6u); // 2 modes x 3 mechanism configs
 
     runner::RunnerOptions serial, pooled;

@@ -503,11 +503,11 @@ TEST_P(CacheArrayLazyVsEager, SameObservableBehaviour)
 INSTANTIATE_TEST_SUITE_P(
     Geometries, CacheArrayLazyVsEager,
     ::testing::Combine(
-        // Power of two (mask indexing); Figure 8's 1.04 MB L2 (2129
-        // sets) and a count that is not a multiple of the group size
-        // (exact modulo fallback).
-        ::testing::Values(std::size_t(64), std::size_t(2129),
-                          std::size_t(13)),
+        // Power of two (mask indexing); Figure 8's 1.04 MB L2 (2128
+        // sets), an odd count and a count that is not a multiple of
+        // the group size (exact modulo fallback).
+        ::testing::Values(std::size_t(64), std::size_t(2128),
+                          std::size_t(2129), std::size_t(13)),
         ::testing::Values(std::size_t(4)),
         ::testing::Values(ReplPolicy::LRU, ReplPolicy::Random)),
     [](const auto &info) {

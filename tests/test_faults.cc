@@ -14,9 +14,8 @@
 #include "src/net/faults.hh"
 #include "src/protocol/backoff.hh"
 #include "src/protocol/config.hh"
-#include "src/runner/faults.hh"
 #include "src/runner/results.hh"
-#include "src/runner/runner.hh"
+#include "src/runner/sweep.hh"
 #include "src/system/presets.hh"
 #include "src/system/system.hh"
 #include "src/workload/workload.hh"
@@ -285,11 +284,15 @@ TEST(FaultInjection, NackStormConvergesBelowMaxRetries)
 
 TEST(FaultInjection, FaultedResultsByteIdenticalAcrossThreads)
 {
-    runner::FaultsOptions opt;
-    opt.nodes = 8;
-    opt.scale = 0.2;
-    opt.seed = 3;
-    const runner::JobSet set = runner::faultJobs(opt);
+    runner::SweepAxes axes;
+    axes.nodes = {8};
+    axes.scale = 0.2;
+    axes.seeds = {3};
+    runner::JobSet set;
+    std::string err;
+    ASSERT_TRUE(runner::buildGrid(*runner::findPreset("faults"), axes,
+                                  set, err))
+        << err;
     // scenarios x (base, delegation, delegate-update)
     ASSERT_EQ(set.size(), presets::faultScenarios().size() * 3);
 
@@ -310,9 +313,15 @@ TEST(FaultInjection, FaultedResultsByteIdenticalAcrossThreads)
 
 TEST(FaultInjection, UnknownScenarioYieldsEmptyJobSet)
 {
-    runner::FaultsOptions opt;
-    opt.scenarios = {"no-such-scenario"};
-    EXPECT_TRUE(runner::faultJobs(opt).empty());
+    runner::SweepAxes axes;
+    axes.scenarios = {"no-such-scenario"};
+    runner::JobSet set;
+    std::string err;
+    EXPECT_FALSE(runner::buildGrid(*runner::findPreset("faults"), axes,
+                                   set, err));
+    EXPECT_NE(err.find("unknown scenario 'no-such-scenario'"),
+              std::string::npos)
+        << err;
 }
 
 // --- results schema -----------------------------------------------

@@ -11,7 +11,7 @@
 #include <algorithm>
 
 #include "src/protocol/policy.hh"
-#include "src/runner/compare.hh"
+#include "src/runner/sweep.hh"
 #include "src/system/presets.hh"
 #include "src/system/system.hh"
 #include "src/verify/lint.hh"
@@ -158,8 +158,12 @@ TEST(PolicyLint, EveryRegisteredSpecIsCleanAgainstItsModel)
 
 TEST(CompareRunner, JobGridCoversScenariosNodesAndPolicies)
 {
-    runner::CompareOptions opt; // defaults: PCmicro+PubSub x {16,64}
-    const runner::JobSet set = runner::compareJobs(opt);
+    // Defaults: PCmicro+PubSub x {16,64}.
+    runner::JobSet set;
+    std::string err;
+    ASSERT_TRUE(runner::buildGrid(*runner::findPreset("compare"), {},
+                                  set, err))
+        << err;
     ASSERT_EQ(set.size(),
               2 * 2 * registeredPolicyKinds().size());
     for (ProtocolKind kind : registeredPolicyKinds()) {
@@ -175,11 +179,16 @@ TEST(CompareRunner, JobGridCoversScenariosNodesAndPolicies)
 
 TEST(CompareRunner, RejectsUnknownScenarioAndZeroNodes)
 {
-    runner::CompareOptions opt;
-    opt.scenarios = {"NoSuchWorkload"};
-    EXPECT_TRUE(runner::compareJobs(opt).empty());
+    const runner::SweepPreset &compare = *runner::findPreset("compare");
+    runner::JobSet set;
+    std::string err;
+    runner::SweepAxes bad;
+    bad.scenarios = {"NoSuchWorkload"};
+    EXPECT_FALSE(runner::buildGrid(compare, bad, set, err));
+    EXPECT_NE(err.find("'NoSuchWorkload'"), std::string::npos) << err;
 
-    runner::CompareOptions zero;
+    runner::SweepAxes zero;
     zero.nodes = {16, 0};
-    EXPECT_TRUE(runner::compareJobs(zero).empty());
+    EXPECT_FALSE(runner::buildGrid(compare, zero, set, err));
+    EXPECT_NE(err.find("at 0 nodes"), std::string::npos) << err;
 }

@@ -181,8 +181,8 @@ TEST(Runner, ConfigRegistryLooksUpPresetsAndAliases)
 
     ASSERT_TRUE(namedMachineConfig("pcopt", 16, cfg, canonical));
     EXPECT_EQ(canonical, "small");
-    EXPECT_TRUE(cfg.proto.delegationEnabled());
-    EXPECT_TRUE(cfg.proto.updatesEnabled());
+    EXPECT_TRUE(delegates(cfg.proto.kind));
+    EXPECT_TRUE(pushesUpdates(cfg.proto.kind));
     EXPECT_TRUE(cfg.proto.racEnabled);
 
     ASSERT_TRUE(namedMachineConfig("BASE", 8, cfg, canonical));
@@ -191,8 +191,8 @@ TEST(Runner, ConfigRegistryLooksUpPresetsAndAliases)
     EXPECT_FALSE(cfg.proto.racEnabled);
 
     ASSERT_TRUE(namedMachineConfig("delegation", 16, cfg, canonical));
-    EXPECT_TRUE(cfg.proto.delegationEnabled());
-    EXPECT_FALSE(cfg.proto.updatesEnabled());
+    EXPECT_TRUE(delegates(cfg.proto.kind));
+    EXPECT_FALSE(pushesUpdates(cfg.proto.kind));
 
     EXPECT_FALSE(namedMachineConfig("warp-drive", 16, cfg, canonical));
 }

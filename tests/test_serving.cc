@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/runner/serve.hh"
+#include "src/runner/sweep.hh"
 #include "src/system/presets.hh"
 #include "src/system/system.hh"
 #include "src/workload/serving.hh"
@@ -168,22 +168,32 @@ TEST(Serving, AdaptiveProtocolEngagesOnProducerConsumerMembers)
     }
 }
 
-TEST(Serving, ServeJobsBuildsFullMatrix)
+TEST(Serving, ServePresetBuildsFullMatrix)
 {
-    runner::ServeOptions opt;
-    const runner::JobSet set = runner::serveJobs(opt);
+    const runner::SweepPreset &serve = *runner::findPreset("serve");
+    EXPECT_STREQ(serve.defaultJson, "BENCH_serve.json");
+    runner::JobSet set;
+    std::string err;
+    ASSERT_TRUE(runner::buildGrid(serve, {}, set, err)) << err;
     // 4 scenarios x 2 node counts x 3 mechanisms.
     EXPECT_EQ(set.size(), 24u);
     EXPECT_EQ(set.jobs()[0].label, "KVServe/n16/base");
 
-    runner::ServeOptions bad;
+    runner::SweepAxes bad;
     bad.scenarios = {"NotAScenario"};
-    EXPECT_TRUE(runner::serveJobs(bad).empty());
+    EXPECT_FALSE(runner::buildGrid(serve, bad, set, err));
+    EXPECT_NE(err.find("unknown scenario 'NotAScenario'"),
+              std::string::npos)
+        << err;
 
-    runner::ServeOptions big;
+    runner::SweepAxes zero;
+    zero.nodes = {16, 0};
+    EXPECT_FALSE(runner::buildGrid(serve, zero, set, err));
+
+    runner::SweepAxes big;
     big.scenarios = {"kvserve"}; // case-insensitive
     big.nodes = {1024};
-    const runner::JobSet bigSet = runner::serveJobs(big);
-    EXPECT_EQ(bigSet.size(), 3u);
-    EXPECT_EQ(bigSet.jobs()[0].workload, "KVServe");
+    ASSERT_TRUE(runner::buildGrid(serve, big, set, err)) << err;
+    EXPECT_EQ(set.size(), 3u);
+    EXPECT_EQ(set.jobs()[0].workload, "KVServe");
 }

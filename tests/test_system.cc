@@ -27,8 +27,8 @@ TEST(Presets, BaseMatchesTable1)
     EXPECT_EQ(m.net.hopLatency, 100u);
     EXPECT_FALSE(m.proto.racEnabled);
     EXPECT_EQ(m.proto.kind, ProtocolKind::MesiDir);
-    EXPECT_FALSE(m.proto.delegationEnabled());
-    EXPECT_FALSE(m.proto.updatesEnabled());
+    EXPECT_FALSE(delegates(m.proto.kind));
+    EXPECT_FALSE(pushesUpdates(m.proto.kind));
 }
 
 TEST(Presets, SmallAndLargeConfigurations)
@@ -36,8 +36,8 @@ TEST(Presets, SmallAndLargeConfigurations)
     MachineConfig s = presets::small(16);
     EXPECT_TRUE(s.proto.racEnabled);
     EXPECT_EQ(s.proto.kind, ProtocolKind::DelegationUpdates);
-    EXPECT_TRUE(s.proto.delegationEnabled());
-    EXPECT_TRUE(s.proto.updatesEnabled());
+    EXPECT_TRUE(delegates(s.proto.kind));
+    EXPECT_TRUE(pushesUpdates(s.proto.kind));
     EXPECT_EQ(s.proto.delegate.producerEntries, 32u);
     EXPECT_EQ(s.proto.rac.sizeBytes, 32u * 1024);
     EXPECT_EQ(s.proto.interventionDelay, 50u);
@@ -53,8 +53,8 @@ TEST(Presets, Figure7HasSixConfigsInPaperOrder)
     ASSERT_EQ(cfgs.size(), 6u);
     EXPECT_EQ(cfgs[0].name, "Base");
     EXPECT_EQ(cfgs[1].name, "32K RAC");
-    EXPECT_FALSE(cfgs[1].cfg.proto.delegationEnabled());
-    EXPECT_TRUE(cfgs[2].cfg.proto.updatesEnabled());
+    EXPECT_FALSE(delegates(cfgs[1].cfg.proto.kind));
+    EXPECT_TRUE(pushesUpdates(cfgs[2].cfg.proto.kind));
     EXPECT_EQ(cfgs[3].cfg.proto.delegate.producerEntries, 1024u);
     EXPECT_EQ(cfgs[4].cfg.proto.rac.sizeBytes, 32u * 1024);
     EXPECT_EQ(cfgs[5].cfg.proto.delegate.producerEntries, 32u);
