@@ -6,11 +6,11 @@
  *   pcsim sweep --figure 7 -j8
  *   pcsim list
  *
- * `run`, `serve`, `compare`, `faults`, `qos` and `sweep --figure N /
- * --table N` are presets of one sweep path (src/runner/sweep.hh):
- * each builds a job grid from the selection flags, runs it, writes
- * the JSON/CSV results and prints its table as a formatting layer
- * over them. Simulations are deterministic, so
+ * `run`, `serve`, `compare`, `scale`, `faults`, `qos` and `sweep
+ * --figure N / --table N` are presets of one sweep path
+ * (src/runner/sweep.hh): each builds a job grid from the selection
+ * flags, runs it, writes the JSON/CSV results and prints its table
+ * as a formatting layer over them. Simulations are deterministic, so
  * `--deterministic-check` (run everything twice and byte-compare the
  * serialized results) should never fail; CI wires it in as a
  * regression tripwire.
@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "src/protocol/policy.hh"
-#include "src/runner/bench.hh"
 #include "src/runner/job.hh"
 #include "src/runner/results.hh"
 #include "src/runner/sweep.hh"
@@ -67,8 +66,6 @@ const CommandInfo commandTable[] = {
     {"trace replay", "FILE [options]",
      "re-drive the simulator from a trace; stats match the source run"},
     {"trace info", "FILE", "print a trace file's header"},
-    {"bench", "[--json PATH] [--baseline PATH] [options]",
-     "simulation-kernel microbenchmarks"},
     {"faults", "[--scenario a,b] [--arbitration a,b] [options]",
      "fault-injection robustness sweep"},
     {"qos", "[--scenario a,b] [--arbitration a,b] [options]",
@@ -151,8 +148,7 @@ usage(std::FILE *out)
 "                         directories at the top sizes)\n"
 "  --workload W           workload per point (default: Em3D)\n"
 "  --scale F              workload scale per point (default: 0.25)\n"
-"  --repeats N            repeats per point, best wall time\n"
-"                         (default: 1)\n"
+"  default --json is BENCH_scale.json\n"
 "\n"
 "faults (fault-injection robustness sweep; checker + conformance are\n"
 "always on, and exponential retry backoff is enabled):\n"
@@ -192,17 +188,6 @@ usage(std::FILE *out)
 "                         cycles) instead of simulating\n"
 "  --config C             (replay) override the header's machine\n"
 "                         preset (ingested traces default to base)\n"
-"\n"
-"bench options:\n"
-"  --events N             events per kernel microbenchmark\n"
-"                         (default: 2000000)\n"
-"  --repeats N            repeats per benchmark, best wall time\n"
-"                         reported (default: 3)\n"
-"  --baseline PATH        prior bench JSON; adds per-benchmark\n"
-"                         speedup columns\n"
-"  --parallel             shard-scaling suite: PCmicro and a 256-node\n"
-"                         serving run at 1/2/4/8 kernel shards\n"
-"                         (default --json: BENCH_parallel.json)\n"
 "\n"
 "common options:\n"
 "  -j N, --jobs N         worker threads; 0 = all cores\n"
@@ -244,27 +229,20 @@ struct Options
 {
     std::string command;
     /** Grid selection for the sweep presets (run, serve, compare,
-     *  faults, qos, sweep); trace record and scale read it too. */
+     *  scale, faults, qos, sweep); trace record reads it too. */
     runner::SweepAxes axes;
     bool lintMc = true;           ///< lint: run the model cross-check
     std::string lintPolicy;       ///< lint: policy spec name or "all"
     std::string coveragePath;     ///< lint: results doc for coverage
     std::string lintMode;         ///< lint: "", "mdg" or "liveness"
     std::string reproPath;        ///< lint --liveness: PCTR repro out
-    /** Output flags (-j, --json, --csv, --timing, ...); lint, trace
-     *  and bench read them too. */
+    /** Output flags (-j, --json, --csv, --timing, ...); lint and
+     *  trace read them too. */
     runner::SweepOptions out;
     bool threadsSet = false;
-    bool parallelBench = false; ///< bench: shard-scaling suite
     bool quiet = false;
     unsigned figure = 0;   ///< sweep --figure N
     unsigned tableNum = 0; ///< sweep --table N
-
-    // bench / scale
-    std::uint64_t benchEvents = 2000000;
-    unsigned benchRepeats = 3;
-    bool repeatsSet = false;
-    std::string baselinePath;
 
     // trace
     std::string outputPath;                ///< -o / --output
@@ -423,8 +401,6 @@ parseArgs(int argc, char **argv, Options &opt, int first = 2)
             if (inline_value && !parseNumber(arg, inline_value, 1,
                                              maxThreads, axes.shards))
                 return false;
-        } else if (arg == "--parallel") {
-            opt.parallelBench = true;
         } else if (arg == "-j" || arg == "--jobs") {
             if (!number(opt.out.threads, 0, maxThreads))
                 return false;
@@ -447,16 +423,6 @@ parseArgs(int argc, char **argv, Options &opt, int first = 2)
                 return false;
         } else if (arg == "--arbitration" || arg == "--arbitrations") {
             if (!list(axes.arbitrations))
-                return false;
-        } else if (arg == "--events") {
-            if (!number(opt.benchEvents, 1, u64max))
-                return false;
-        } else if (arg == "--repeats") {
-            if (!number(opt.benchRepeats, 1, 1000))
-                return false;
-            opt.repeatsSet = true;
-        } else if (arg == "--baseline") {
-            if (!text(opt.baselinePath))
                 return false;
         } else if (arg == "--output" || arg == "-o") {
             if (!text(opt.outputPath))
@@ -531,8 +497,8 @@ listCommand()
     return 0;
 }
 
-/** run / serve / compare / faults / qos / sweep: one preset of the
- *  shared sweep path (src/runner/sweep.hh). */
+/** run / serve / compare / scale / faults / qos / sweep: one preset
+ *  of the shared sweep path (src/runner/sweep.hh). */
 int
 presetCommand(const Options &opt)
 {
@@ -1028,52 +994,11 @@ main(int argc, char **argv)
     }
 
     if (cmd == "run" || cmd == "sweep" || cmd == "serve" ||
-        cmd == "compare" || cmd == "faults" || cmd == "qos")
+        cmd == "compare" || cmd == "scale" || cmd == "faults" ||
+        cmd == "qos")
         return presetCommand(opt);
     if (cmd == "lint")
         return lintCommand(opt);
-    if (cmd == "scale") {
-        runner::ScaleOptions sopt;
-        sopt.nodeCounts = opt.axes.nodes;
-        const auto &workloads = opt.axes.workloads;
-        if (!workloads.empty()) {
-            if (workloads.size() > 1) {
-                std::fprintf(stderr, "pcsim scale: one workload "
-                                     "only\n");
-                return 1;
-            }
-            const std::string canonical =
-                runner::canonicalWorkload(workloads[0]);
-            if (canonical.empty()) {
-                std::fprintf(stderr, "pcsim: unknown workload '%s'\n",
-                             workloads[0].c_str());
-                return 1;
-            }
-            sopt.workload = canonical;
-        }
-        if (opt.axes.scale)
-            sopt.scale = *opt.axes.scale;
-        if (opt.repeatsSet)
-            sopt.repeats = opt.benchRepeats;
-        sopt.jsonPath = opt.out.jsonPath;
-        sopt.quiet = opt.quiet;
-        sopt.parallelShards = opt.axes.shards;
-        return runner::runScaleSweep(sopt);
-    }
-    if (cmd == "bench") {
-        runner::BenchOptions bopt;
-        bopt.kernelEvents = opt.benchEvents;
-        bopt.repeats = opt.benchRepeats;
-        bopt.jsonPath = opt.out.jsonPath;
-        bopt.baselinePath = opt.baselinePath;
-        bopt.quiet = opt.quiet;
-        if (opt.parallelBench) {
-            if (bopt.jsonPath.empty())
-                bopt.jsonPath = "BENCH_parallel.json";
-            return runner::runParallelBench(bopt);
-        }
-        return runner::runBenchSuite(bopt);
-    }
 
     std::fprintf(stderr, "pcsim: unknown command '%s'\n", cmd.c_str());
     return usage(stderr);

@@ -86,6 +86,34 @@ namespace runner
     X(poolReuses)                                                         \
     X(simTicks)
 
+namespace
+{
+
+JsonValue
+histToJson(const Histogram &h)
+{
+    JsonValue v = JsonValue::object();
+    v["total"] = JsonValue(h.total());
+    JsonValue buckets = JsonValue::array();
+    for (std::size_t i = 0; i < h.numBuckets(); ++i)
+        buckets.push(JsonValue(h.bucket(i)));
+    v["buckets"] = std::move(buckets);
+    return v;
+}
+
+void
+histFromJson(const JsonValue &v, Histogram &h)
+{
+    const JsonValue &buckets = v.at("buckets");
+    std::vector<std::uint64_t> counts;
+    counts.reserve(buckets.size());
+    for (std::size_t i = 0; i < buckets.size(); ++i)
+        counts.push_back(buckets.at(i).asUInt());
+    h.assign(std::move(counts));
+}
+
+} // namespace
+
 JsonValue
 toJson(const RunResult &r, bool with_timing)
 {
@@ -104,13 +132,7 @@ toJson(const RunResult &r, bool with_timing)
 #undef X
     v["nodes"] = std::move(nodes);
 
-    JsonValue hist = JsonValue::object();
-    hist["total"] = JsonValue(r.consumerHist.total());
-    JsonValue buckets = JsonValue::array();
-    for (std::size_t i = 0; i < r.consumerHist.numBuckets(); ++i)
-        buckets.push(JsonValue(r.consumerHist.bucket(i)));
-    hist["buckets"] = std::move(buckets);
-    v["consumerHist"] = std::move(hist);
+    v["consumerHist"] = histToJson(r.consumerHist);
 
     JsonValue perf = JsonValue::object();
 #define X(field) perf[#field] = JsonValue(r.perf.field);
@@ -165,14 +187,7 @@ toJson(const RunResult &r, bool with_timing)
             JsonValue(r.nodes.dirRehandleRetries);
         retry["maxRetriesPerLine"] = JsonValue(r.nodes.maxRetriesPerLine);
         retry["nackStormPeak"] = JsonValue(r.nodes.nackStormPeak);
-        JsonValue bh = JsonValue::object();
-        bh["total"] = JsonValue(r.nodes.backoffHist.total());
-        JsonValue bb = JsonValue::array();
-        for (std::size_t i = 0; i < r.nodes.backoffHist.numBuckets();
-             ++i)
-            bb.push(JsonValue(r.nodes.backoffHist.bucket(i)));
-        bh["buckets"] = std::move(bb);
-        retry["backoffHist"] = std::move(bh);
+        retry["backoffHist"] = histToJson(r.nodes.backoffHist);
         retry["faultDelayedMessages"] =
             JsonValue(r.faultDelayedMessages);
         retry["faultExtraTicks"] = JsonValue(r.faultExtraTicks);
@@ -201,14 +216,7 @@ toJson(const RunResult &r, bool with_timing)
         fair["missLatencyP99"] = JsonValue(r.missLatencyP99);
         fair["maxLineWaitTicks"] = JsonValue(r.nodes.maxLineWaitTicks);
         fair["queueDepthPeak"] = JsonValue(r.nodes.queueDepthPeak);
-        JsonValue mh = JsonValue::object();
-        mh["total"] = JsonValue(r.nodes.missLatencyHist.total());
-        JsonValue mb = JsonValue::array();
-        for (std::size_t i = 0;
-             i < r.nodes.missLatencyHist.numBuckets(); ++i)
-            mb.push(JsonValue(r.nodes.missLatencyHist.bucket(i)));
-        mh["buckets"] = std::move(mb);
-        fair["missLatencyHist"] = std::move(mh);
+        fair["missLatencyHist"] = histToJson(r.nodes.missLatencyHist);
         v["fairness"] = std::move(fair);
     }
     return v;
@@ -231,12 +239,7 @@ runResultFromJson(const JsonValue &v)
     PCSIM_NODE_STATS_FIELDS(X)
 #undef X
 
-    const JsonValue &buckets = v.at("consumerHist").at("buckets");
-    std::vector<std::uint64_t> counts;
-    counts.reserve(buckets.size());
-    for (std::size_t i = 0; i < buckets.size(); ++i)
-        counts.push_back(buckets.at(i).asUInt());
-    r.consumerHist.assign(std::move(counts));
+    histFromJson(v.at("consumerHist"), r.consumerHist);
 
     // Telemetry arrived in schemaVersion 2; tolerate its absence so
     // old documents still load.
@@ -288,12 +291,7 @@ runResultFromJson(const JsonValue &v)
         r.nodes.maxRetriesPerLine =
             retry->at("maxRetriesPerLine").asUInt();
         r.nodes.nackStormPeak = retry->at("nackStormPeak").asUInt();
-        const JsonValue &bb = retry->at("backoffHist").at("buckets");
-        std::vector<std::uint64_t> bcounts;
-        bcounts.reserve(bb.size());
-        for (std::size_t i = 0; i < bb.size(); ++i)
-            bcounts.push_back(bb.at(i).asUInt());
-        r.nodes.backoffHist.assign(std::move(bcounts));
+        histFromJson(retry->at("backoffHist"), r.nodes.backoffHist);
         r.faultDelayedMessages =
             retry->at("faultDelayedMessages").asUInt();
         r.faultExtraTicks = retry->at("faultExtraTicks").asUInt();
@@ -316,12 +314,8 @@ runResultFromJson(const JsonValue &v)
         r.nodes.maxLineWaitTicks =
             fair->at("maxLineWaitTicks").asUInt();
         r.nodes.queueDepthPeak = fair->at("queueDepthPeak").asUInt();
-        const JsonValue &mb = fair->at("missLatencyHist").at("buckets");
-        std::vector<std::uint64_t> mcounts;
-        mcounts.reserve(mb.size());
-        for (std::size_t i = 0; i < mb.size(); ++i)
-            mcounts.push_back(mb.at(i).asUInt());
-        r.nodes.missLatencyHist.assign(std::move(mcounts));
+        histFromJson(fair->at("missLatencyHist"),
+                     r.nodes.missLatencyHist);
     }
     return r;
 }

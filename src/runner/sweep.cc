@@ -1,6 +1,7 @@
 #include "src/runner/sweep.hh"
 
 #include <algorithm>
+#include <exception>
 #include <map>
 
 #include "src/runner/figures.hh"
@@ -149,35 +150,37 @@ canonicalWorkloads(const std::vector<std::string> &names,
     return true;
 }
 
-/** The single workload of faults/qos (default PCmicro). */
+/** The single workload of faults/qos/scale (@p fallback when
+ *  none is given). */
 bool
-oneWorkload(const SweepAxes &a, std::string &out, std::string &err)
+oneWorkload(const SweepAxes &a, const std::string &fallback,
+            std::string &out, std::string &err)
 {
     if (a.workloads.size() > 1) {
         err = "one workload only";
         return false;
     }
     std::vector<std::string> names;
-    const bool ok = canonicalWorkloads(a.workloads, {"PCmicro"}, names, err);
+    const bool ok = canonicalWorkloads(a.workloads, {fallback}, names, err);
     out = names.back();
     return ok;
 }
 
 /** scenario x node count x @p configs, labelled
- *  "scenario/nN/config" (the serve and compare grids). */
+ *  "scenario/nN/config" (the serve, compare and scale grids);
+ *  @p nodes and @p scale apply when the axes leave them unset. */
 void
 scenarioGrid(const std::vector<std::string> &scenarios,
              const SweepAxes &a,
              std::vector<presets::NamedConfig> (*configs)(unsigned),
+             const std::vector<unsigned> &nodes, double scale,
              JobSet &out)
 {
-    const std::vector<unsigned> nodes =
-        a.nodes.empty() ? std::vector<unsigned>{16, 64} : a.nodes;
     for (const auto &scen : scenarios) {
-        for (unsigned n : nodes) {
+        for (unsigned n : a.nodes.empty() ? nodes : a.nodes) {
             for (const auto &named : configs(n)) {
                 out.add(scen, named, a.seeds.front(),
-                        a.scale.value_or(1.0));
+                        a.scale.value_or(scale));
                 out.jobs().back().label =
                     scen + "/n" + std::to_string(n) + "/" + named.name;
             }
@@ -230,7 +233,7 @@ buildServe(const SweepAxes &a, JobSet &out, std::string &err)
             return false;
         }
     }
-    scenarioGrid(scenarios, a, presets::scaleConfigs, out);
+    scenarioGrid(scenarios, a, presets::scaleConfigs, {16, 64}, 1.0, out);
     return true;
 }
 
@@ -241,7 +244,24 @@ buildCompare(const SweepAxes &a, JobSet &out, std::string &err)
     if (!canonicalWorkloads(a.scenarios, {"PCmicro", "PubSub"},
                             scenarios, err))
         return false;
-    scenarioGrid(scenarios, a, presets::compareConfigs, out);
+    scenarioGrid(scenarios, a, presets::compareConfigs, {16, 64}, 1.0,
+                 out);
+    return true;
+}
+
+/** The node-count scaling sweep: one workload (default Em3D) at
+ *  16..1024 nodes. The checker is off, as it costs 10x the run at
+ *  1024 nodes and changes no statistic. */
+bool
+buildScale(const SweepAxes &a, JobSet &out, std::string &err)
+{
+    std::string workload;
+    if (!oneWorkload(a, "Em3D", workload, err))
+        return false;
+    scenarioGrid({workload}, a, presets::scaleConfigs,
+                 presets::scaleNodeCounts(), 0.25, out);
+    for (Job &j : out.jobs())
+        j.cfg.proto.checkerEnabled = false;
     return true;
 }
 
@@ -253,7 +273,7 @@ faultGrid(const SweepAxes &a, const std::vector<std::string> &scenarios,
           std::string &err)
 {
     std::string workload;
-    if (!oneWorkload(a, workload, err))
+    if (!oneWorkload(a, "PCmicro", workload, err))
         return false;
     // Scenarios run in presets::faultScenarios() order, whatever the
     // order requested.
@@ -378,6 +398,19 @@ const ColumnTable serveTable{
     "base",
 };
 
+const ColumnTable scaleTable{
+    "workload/nodes/config",
+    28,
+    {{"cycles", 12, [](const RunResult &r) { return r.cycles; }},
+     {"remote miss", 11,
+      [](const RunResult &r) { return r.nodes.remoteMisses; }},
+     {"racHits", 9, [](const RunResult &r) { return r.nodes.racHits; }},
+     {"updates", 9,
+      [](const RunResult &r) { return r.nodes.updatesSent; }},
+     {"vs base", 8, nullptr}},
+    "base",
+};
+
 const ColumnTable compareTable{
     "scenario/nodes/policy",
     32,
@@ -418,6 +451,7 @@ const SweepPreset presetTable[] = {
     {"run", buildRun, {&runTable}, "", 1},
     {"serve", buildServe, {&serveTable}, "BENCH_serve.json", 0},
     {"compare", buildCompare, {&compareTable}, "BENCH_compare.json", 0},
+    {"scale", buildScale, {&scaleTable}, "BENCH_scale.json", 0},
     {"faults", buildFaults, {&faultsTable}, "BENCH_faults.json", 0},
     {"qos", buildQos, {&faultsTable}, "BENCH_qos.json", 0},
     {"fig7", buildFigure<figures::figure7Jobs>,
@@ -473,7 +507,14 @@ runPreset(const SweepPreset &preset, const SweepAxes &axes,
           SweepOptions opt)
 {
     if (preset.printStatic) {
-        preset.printStatic(axes, stdout);
+        // A workload rejects a machine it cannot map onto (Appbt's
+        // processor grid) by throwing.
+        try {
+            preset.printStatic(axes, stdout);
+        } catch (const std::exception &e) {
+            std::fprintf(stderr, "pcsim %s: %s\n", preset.name, e.what());
+            return 1;
+        }
         return 0;
     }
     JobSet set;

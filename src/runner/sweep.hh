@@ -5,10 +5,10 @@
  * A preset is a name, a job-grid builder over the shared axes
  * (workload/scenario, node count, named config, arbitration, fault
  * scenario, seed, scale), a printed table and a default JSON path.
- * `pcsim run`, `serve`, `compare`, `faults`, `qos` and every `sweep
- * --figure N` / `--table N` are presets; runSweep() is the one loop
- * that runs a grid, checks determinism, writes JSON/CSV and prints
- * the table.
+ * `pcsim run`, `serve`, `compare`, `scale`, `faults`, `qos` and every
+ * `sweep --figure N` / `--table N` are presets; runSweep() is the one
+ * loop that runs a grid, checks determinism, writes JSON/CSV and
+ * prints the table.
  *
  * Printed tables come in two kinds: a column-spec table over the job
  * results (one row per job), or a figure printer that formats the
@@ -111,8 +111,8 @@ struct SweepTable
 /** A named grid-shaped experiment. */
 struct SweepPreset
 {
-    /** "run", "serve", "compare", "faults", "qos", "fig7".."fig12",
-     *  "table2", "table3". */
+    /** "run", "serve", "compare", "scale", "faults", "qos",
+     *  "fig7".."fig12", "table2", "table3". */
     const char *name;
     /** Fill @p out from @p axes; false with @p err on bad axes.
      *  nullptr for a table that needs no simulation. */

@@ -1,8 +1,7 @@
 #include "src/workload/appbt.hh"
 
 #include <sstream>
-
-#include "src/sim/logging.hh"
+#include <stdexcept>
 
 namespace pcsim
 {
@@ -11,7 +10,8 @@ AppbtWorkload::AppbtWorkload(unsigned num_cpus, AppbtParams p)
     : TraceWorkload("Appbt", num_cpus), _p(p)
 {
     if (_p.procs[0] * _p.procs[1] * _p.procs[2] != num_cpus)
-        fatal("Appbt processor grid does not match CPU count");
+        throw std::invalid_argument(
+            "Appbt processor grid does not match CPU count");
 
     // Init: first-touch own faces for all three dimensions.
     for (unsigned cpu = 0; cpu < num_cpus; ++cpu) {

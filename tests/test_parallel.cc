@@ -122,6 +122,19 @@ TEST(ParallelIdentity, WorkloadMatrixMatchesSequentialOracle)
     }
 }
 
+TEST(ParallelIdentity, PCmicroLarge64MatchesAtTwoFourEight)
+{
+    // 64 nodes = 8 leaves: 8 shards is the topology limit.
+    MachineConfig cfg;
+    std::string cname;
+    ASSERT_TRUE(runner::namedMachineConfig("large", 64, cfg, cname));
+    cfg.proto.checkerEnabled = false;
+    const std::string oracle = runSerialized(cfg, "PCmicro", 1.0, 1);
+    for (unsigned shards : {2u, 4u, 8u})
+        EXPECT_EQ(runSerialized(cfg, "PCmicro", 1.0, shards), oracle)
+            << "diverged at " << shards << " shards";
+}
+
 TEST(ParallelIdentity, CheckerAndConformanceStayIdentical)
 {
     MachineConfig cfg;

@@ -162,6 +162,68 @@ TEST(SweepPresets, RunCrossesWorkloadsConfigsAndSeeds)
     EXPECT_EQ(err, "unknown config 'warp-drive'");
 }
 
+TEST(SweepPresets, RunIsolatesABadAppbtGrid)
+{
+    // 32 CPUs is not a valid Appbt processor grid: that job fails by
+    // name and the Em3D job still runs.
+    SweepAxes axes;
+    axes.workloads = {"appbt", "em3d"};
+    axes.nodes = {32};
+    axes.scale = 0.1;
+    const JobSet set = grid("run", axes);
+    ASSERT_EQ(set.size(), 2u);
+    SweepOptions opt = quietCheck();
+    opt.deterministicCheck = false;
+    EXPECT_EQ(runSweep(set, opt), 2);
+
+    RunnerOptions ropts;
+    ropts.threads = 1;
+    ropts.progress = false;
+    const std::vector<JobResult> results = runJobs(set, ropts);
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_EQ(results[0].job.label, "Appbt/base");
+    EXPECT_FALSE(results[0].ok);
+    EXPECT_EQ(results[0].error,
+              "Appbt processor grid does not match CPU count");
+    EXPECT_EQ(results[1].job.label, "Em3D/base");
+    EXPECT_TRUE(results[1].ok) << results[1].error;
+}
+
+TEST(SweepPresets, ScaleSweepsOneWorkloadOverNodeCounts)
+{
+    const JobSet set = grid("scale");
+    // Seven machine sizes x {base, delegation, delegate-update}.
+    ASSERT_EQ(set.size(), 21u);
+    EXPECT_EQ(labels(set)[0], "Em3D/n16/base");
+    EXPECT_EQ(labels(set)[2], "Em3D/n16/delegate-update");
+    EXPECT_EQ(labels(set)[20], "Em3D/n1024/delegate-update");
+    for (const Job &j : set.jobs()) {
+        EXPECT_DOUBLE_EQ(j.scale, 0.25);
+        EXPECT_FALSE(j.cfg.proto.checkerEnabled);
+    }
+    const SweepPreset &scale = *findPreset("scale");
+    EXPECT_STREQ(scale.defaultJson, "BENCH_scale.json");
+    EXPECT_EQ(scale.defaultThreads, 0u);
+
+    SweepAxes axes;
+    axes.workloads = {"mg"};
+    axes.nodes = {16, 64};
+    axes.scale = 0.5;
+    const JobSet mg = grid("scale", axes);
+    ASSERT_EQ(mg.size(), 6u);
+    EXPECT_EQ(labels(mg)[5], "MG/n64/delegate-update");
+    EXPECT_DOUBLE_EQ(mg.jobs()[0].scale, 0.5);
+
+    JobSet out;
+    std::string err;
+    axes.workloads = {"em3d", "mg"};
+    EXPECT_FALSE(buildGrid(scale, axes, out, err));
+    EXPECT_EQ(err, "one workload only");
+    axes.workloads = {"warp-drive"};
+    EXPECT_FALSE(buildGrid(scale, axes, out, err));
+    EXPECT_NE(err.find("unknown workload 'warp-drive'"), std::string::npos);
+}
+
 TEST(SweepPresets, QosRunsContentionScenariosInRegistryOrder)
 {
     const JobSet set = grid("qos");
