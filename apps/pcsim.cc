@@ -112,30 +112,35 @@ usage(std::FILE *out)
 "\n"
 "lint (static checks of the declarative protocol transition specs):\n"
 "  --no-mc                skip the model-checker cross-check\n"
+"                         (--no-mc, --csv and --coverage belong to the\n"
+"                         spec lint; --mdg and --liveness reject them)\n"
 "  --policy P             spec to lint: one registered policy name\n"
 "                         (mesi-dir, delegation, delegation-updates,\n"
 "                         write-update, adaptive-hybrid) or 'all'\n"
 "                         (default: delegation-updates, the shipped\n"
 "                         full-protocol spec)\n"
-"  --coverage PATH        report never-exercised legal transitions\n"
-"                         from a results JSON written by runs with\n"
-"                         --conformance\n"
+"  --coverage PATH        report never-exercised legal transitions of\n"
+"                         the full-protocol spec from a results JSON\n"
+"                         written by runs with --conformance (takes\n"
+"                         no --policy or --no-mc)\n"
 "  --mdg                  message-dependency-graph pass: derive the\n"
 "                         type-level dependence graph from the spec's\n"
 "                         allowed-sends sets and flag channel-class\n"
 "                         cycles, unprotected request forwards,\n"
 "                         undeliverable sends and per-rule channel-\n"
 "                         capacity violations (default policy: all)\n"
-"  --liveness             liveness pass: explore the src/mc model's\n"
-"                         state graph and flag livelock lassos (non-\n"
-"                         progress cycles under fairness) and hard\n"
-"                         deadlocks, with step-by-step witnesses\n"
-"                         (default policy: all)\n"
+"  --liveness             liveness pass (not with --mdg): explore the\n"
+"                         src/mc model's state graph and flag livelock\n"
+"                         lassos (non-progress cycles under fairness)\n"
+"                         and hard deadlocks, with step-by-step\n"
+"                         witnesses (default policy: all). The spec\n"
+"                         lint's cross-check reuses the same\n"
+"                         explorations: one per model config\n"
 "  --repro PATH           with --liveness: write the first witness's\n"
 "                         CPU-op schedule as a replayable PCTR trace\n"
 "  exit status: 0 clean, 1 usage/io error, 2 findings\n"
 "\n"
-"sweep (paper figures and tables; default --json pcsim-figN.results.json):\n"
+"sweep (paper figures and tables):\n"
 "  --figure N             7 main results, 8 equal area, 9 intervention\n"
 "                         delay, 10 hop latency, 11 delegate-cache size,\n"
 "                         12 RAC size\n"
@@ -148,7 +153,6 @@ usage(std::FILE *out)
 "                         directories at the top sizes)\n"
 "  --workload W           workload per point (default: Em3D)\n"
 "  --scale F              workload scale per point (default: 0.25)\n"
-"  default --json is BENCH_scale.json\n"
 "\n"
 "faults (fault-injection robustness sweep; checker + conformance are\n"
 "always on, and exponential retry backoff is enabled):\n"
@@ -158,27 +162,23 @@ usage(std::FILE *out)
 "  --arbitration a,b      directory arbitration modes to cross with\n"
 "                         the scenarios (default: nack-retry):\n"
 "                         nack-retry, queue, aged-priority\n"
-"  default --json is BENCH_faults.json\n"
 "\n"
 "qos (fairness bake-off; the faults sweep restricted to the\n"
 "contention scenarios and crossed with every arbitration mode):\n"
 "  --scenario a,b         scenarios (default: storm,hotspot)\n"
 "  --arbitration a,b      modes (default: all three)\n"
-"  default --json is BENCH_qos.json\n"
 "\n"
 "serve (serving sweep of base/delegation/delegate-update):\n"
 "  --scenario a,b         scenarios (default: all): KVServe,\n"
 "                         WorkQueue, RCU, PubSub\n"
 "  --nodes n,m            machine sizes (default: 16,64; any value\n"
 "                         up to 4096 validates)\n"
-"  default --json is BENCH_serve.json\n"
 "\n"
 "compare (bake-off of every registered coherence policy: mesi-dir,\n"
 "delegation, delegation-updates, write-update, adaptive-hybrid):\n"
 "  --scenario a,b         scenarios (default: PCmicro,PubSub); any\n"
 "                         registry workload is accepted\n"
 "  --nodes n,m            machine sizes (default: 16,64)\n"
-"  default --json is BENCH_compare.json\n"
 "\n"
 "trace (binary PCTR op traces; see src/trace/format.hh):\n"
 "  -o, --output FILE      (record) trace file to write (required)\n"
@@ -196,7 +196,8 @@ usage(std::FILE *out)
 "                         kernel with S shards (default 4; clamped to\n"
 "                         the topology's leaf count). Results are\n"
 "                         byte-identical to the sequential kernel\n"
-"  --json PATH            write JSON results; '-' = stdout\n"
+"  --json PATH            write JSON results; '-' = stdout (no\n"
+"                         document is written without --json/--csv)\n"
 "  --csv PATH             write CSV results; '-' = stdout\n"
 "  --timing               include host wall-clock perf rates in the\n"
 "                         outputs (breaks cross-host byte identity)\n"
@@ -443,10 +444,14 @@ parseArgs(int argc, char **argv, Options &opt, int first = 2)
         } else if (arg == "--coverage") {
             if (!text(opt.coveragePath))
                 return false;
-        } else if (arg == "--mdg") {
-            opt.lintMode = "mdg";
-        } else if (arg == "--liveness") {
-            opt.lintMode = "liveness";
+        } else if (arg == "--mdg" || arg == "--liveness") {
+            const std::string mode = arg.substr(2);
+            if (!opt.lintMode.empty() && opt.lintMode != mode) {
+                std::fprintf(stderr, "pcsim lint: --mdg and --liveness "
+                                     "are separate passes (pick one)\n");
+                return false;
+            }
+            opt.lintMode = mode;
         } else if (arg == "--repro") {
             if (!text(opt.reproPath))
                 return false;
@@ -604,13 +609,29 @@ lintCoverage(const Options &opt)
     return io_ok ? 0 : 1;
 }
 
-/** Print one policy's lint report (the classic text rendering). */
+/** Print lint findings, one line each: "kind: where: detail". */
+void
+printFindings(const std::vector<verify::LintFinding> &findings)
+{
+    for (const auto &f : findings) {
+        std::string where = f.ctrl;
+        if (!f.state.empty())
+            where += " " + f.state;
+        if (!f.event.empty())
+            where += (where.empty() ? "" : " x ") + f.event;
+        std::printf("%s: %s: %s\n", f.kind.c_str(), where.c_str(),
+                    f.detail.c_str());
+    }
+}
+
+/** Print one policy's spec lint report (unlabeled for the default
+ *  shipped spec). */
 void
 printLintReport(const verify::TransitionSpec &spec,
-                const verify::LintReport &rep, const char *label)
+                const verify::LintReport &rep, const std::string &label)
 {
-    if (label)
-        std::printf("policy %s:\n", label);
+    if (!label.empty())
+        std::printf("policy %s:\n", label.c_str());
     std::printf("spec: %zu rules, %zu impossible pairs\n",
                 spec.rules().size(), spec.impossible().size());
     if (rep.mcConfigs) {
@@ -620,67 +641,72 @@ printLintReport(const verify::TransitionSpec &spec,
                     (unsigned long long)rep.mcStates,
                     (unsigned long long)rep.mcObserved);
     }
-    for (const auto &f : rep.findings) {
-        std::string where = f.ctrl;
-        if (!f.state.empty())
-            where += " " + f.state;
-        if (!f.event.empty())
-            where += " x " + f.event;
-        std::printf("%s: %s: %s\n", f.kind.c_str(), where.c_str(),
-                    f.detail.c_str());
-    }
+    printFindings(rep.findings);
     if (rep.clean())
         std::printf("lint: clean\n");
     else
         std::printf("lint: %zu finding(s)\n", rep.findings.size());
 }
 
-/** Lint one policy's spec; prints the findings and the summary line
- *  (prefixed with the policy name when @p label is set). */
-int
-lintOneSpec(const Options &opt, const verify::TransitionSpec &spec,
-            verify::McCheckSet mc_set, const char *label)
+void
+printMdgReport(const std::string &policy, const verify::MdgReport &rep)
 {
-    const verify::LintReport rep =
-        opt.lintMc ? verify::lintSpecWithModel(spec, mc_set)
-                   : verify::lintSpec(spec);
+    std::printf("policy %s: %zu message types, %zu edges, %zu sinks "
+                "(%llu requester-bound, %llu nack-protected edges "
+                "exempt)\n",
+                policy.c_str(), rep.messages.size(), rep.edges.size(),
+                rep.sinks.size(), (unsigned long long)rep.reissueEdges,
+                (unsigned long long)rep.nackProtectedEdges);
+    printFindings(rep.findings);
+}
 
-    bool io_ok = true;
-    if (!opt.out.jsonPath.empty())
-        io_ok &= runner::writeTextFile(
-            opt.out.jsonPath, verify::lintToJson(spec, rep).dump(2) + "\n");
-    if (!opt.out.csvPath.empty())
-        io_ok &= runner::writeTextFile(opt.out.csvPath,
-                                       verify::lintToCsv(rep));
-
-    if (opt.out.jsonPath != "-" && opt.out.csvPath != "-")
-        printLintReport(spec, rep, label);
-    if (!io_ok)
-        return 1;
-    return rep.clean() ? 0 : 2;
+void
+printLivenessReport(const std::string &policy,
+                    const verify::LivenessReport &rep)
+{
+    std::printf("policy %s:\n", policy.c_str());
+    for (const auto &c : rep.configs) {
+        std::printf("  config %s: %llu states, %llu edges (%llu "
+                    "progress), %llu quiescent%s\n",
+                    c.name.c_str(), (unsigned long long)c.states,
+                    (unsigned long long)c.edges,
+                    (unsigned long long)c.progressEdges,
+                    (unsigned long long)c.quiescentStates,
+                    c.completed ? "" : " [state limit hit]");
+    }
+    for (const auto &f : rep.findings) {
+        std::printf("%s (%s): %s\n", f.kind.c_str(), f.config.c_str(),
+                    f.detail.c_str());
+        std::printf("  witness prefix (%zu steps):\n",
+                    f.witness.prefix.size());
+        for (std::size_t i = 0; i < f.witness.prefix.size(); ++i)
+            std::printf("    %3zu. %s\n", i + 1,
+                        f.witness.prefix[i].c_str());
+        if (!f.witness.cycle.empty()) {
+            std::printf("  non-progress cycle (%zu steps):\n",
+                        f.witness.cycle.size());
+            for (std::size_t i = 0; i < f.witness.cycle.size(); ++i)
+                std::printf("    %3zu. %s\n", i + 1,
+                            f.witness.cycle[i].c_str());
+        }
+    }
 }
 
 /** One policy selected for a lint pass. */
 struct PolicySel
 {
-    std::string name;
+    std::string name; ///< "" for the unlabeled default spec
     const verify::TransitionSpec *spec;
     verify::McCheckSet set;
 };
 
-/** Resolve --policy for the mdg/liveness passes ("" means all). */
+/** Resolve --policy ("" and "all" mean every registered policy). */
 bool
 resolvePolicies(const std::string &which, std::vector<PolicySel> &out)
 {
-    if (which.empty() || which == "all") {
-        for (ProtocolKind kind : registeredPolicyKinds()) {
-            const CoherencePolicy &p = policyFor(kind);
-            out.push_back({p.name(), &p.spec(), modelCheckSetFor(kind)});
-        }
-        return true;
-    }
-    ProtocolKind kind;
-    if (!protocolKindFromName(which, kind)) {
+    const bool all = which.empty() || which == "all";
+    ProtocolKind one{};
+    if (!all && !protocolKindFromName(which, one)) {
         std::fprintf(stderr,
                      "pcsim lint: unknown policy '%s' (pick one of "
                      "mesi-dir, delegation, delegation-updates, "
@@ -688,71 +714,16 @@ resolvePolicies(const std::string &which, std::vector<PolicySel> &out)
                      which.c_str());
         return false;
     }
-    const CoherencePolicy &p = policyFor(kind);
-    out.push_back({p.name(), &p.spec(), modelCheckSetFor(kind)});
+    for (ProtocolKind kind : registeredPolicyKinds()) {
+        if (!all && kind != one)
+            continue;
+        const CoherencePolicy &p = policyFor(kind);
+        out.push_back({p.name(), &p.spec(), modelCheckSetFor(kind)});
+    }
     return true;
 }
 
-/** Write an mdg/liveness findings document and print the pass's
- *  summary line; 0 clean, 1 I/O error, 2 findings. */
-int
-finishFindings(const Options &opt, const char *mode, JsonValue policies,
-               std::size_t total, bool io_ok)
-{
-    if (!opt.out.jsonPath.empty())
-        io_ok &= runner::writeTextFile(
-            opt.out.jsonPath,
-            verify::lintFindingsDocument(mode, std::move(policies))
-                    .dump(2) +
-                "\n");
-    if (opt.out.jsonPath != "-") {
-        if (total)
-            std::printf("%s: %zu finding(s)\n", mode, total);
-        else
-            std::printf("%s: clean\n", mode);
-    }
-    if (!io_ok)
-        return 1;
-    return total ? 2 : 0;
-}
-
-int
-lintMdgCommand(const Options &opt)
-{
-    std::vector<PolicySel> sels;
-    if (!resolvePolicies(opt.lintPolicy, sels))
-        return 1;
-
-    JsonValue policies = JsonValue::array();
-    std::size_t total = 0;
-    for (const PolicySel &sel : sels) {
-        const verify::MdgReport rep = verify::analyzeMdg(*sel.spec);
-        policies.push(verify::mdgPolicyJson(sel.name, *sel.spec, rep));
-        if (opt.out.jsonPath != "-") {
-            std::printf("policy %s: %zu message types, %zu edges, "
-                        "%zu sinks (%llu requester-bound, %llu "
-                        "nack-protected edges exempt)\n",
-                        sel.name.c_str(), rep.messages.size(),
-                        rep.edges.size(), rep.sinks.size(),
-                        (unsigned long long)rep.reissueEdges,
-                        (unsigned long long)rep.nackProtectedEdges);
-            for (const auto &f : rep.findings) {
-                std::string where = f.ctrl;
-                if (!f.state.empty())
-                    where += " " + f.state;
-                if (!f.event.empty())
-                    where += (where.empty() ? "" : " x ") + f.event;
-                std::printf("%s: %s: %s\n", f.kind.c_str(),
-                            where.c_str(), f.detail.c_str());
-            }
-        }
-        total += rep.findings.size();
-    }
-
-    return finishFindings(opt, "mdg", std::move(policies), total, true);
-}
-
-/** Write the first witness carrying CPU ops as a PCTR repro trace. */
+/** Write a liveness witness's CPU-op schedule as a PCTR repro trace. */
 bool
 writeLivenessRepro(const std::string &path, const std::string &config,
                    unsigned nodes,
@@ -775,132 +746,141 @@ writeLivenessRepro(const std::string &path, const std::string &config,
     return true;
 }
 
-int
-lintLivenessCommand(const Options &opt)
+/** Reject lint flags the selected pass would silently ignore. */
+bool
+lintFlagsApply(const Options &opt, const std::string &mode)
 {
-    std::vector<PolicySel> sels;
-    if (!resolvePolicies(opt.lintPolicy, sels))
+    const char *flag = nullptr;
+    std::string pass;
+    if (mode != "spec") {
+        pass = "--" + mode;
+        if (!opt.out.csvPath.empty())
+            flag = "--csv";
+        else if (!opt.lintMc)
+            flag = "--no-mc";
+        else if (!opt.coveragePath.empty())
+            flag = "--coverage";
+    } else if (!opt.coveragePath.empty()) {
+        // Coverage folds onto the full-protocol spec alone.
+        pass = "--coverage";
+        if (!opt.lintPolicy.empty())
+            flag = "--policy";
+        else if (!opt.lintMc)
+            flag = "--no-mc";
+    }
+    if (flag) {
+        std::fprintf(stderr, "pcsim lint: %s does not apply to %s\n",
+                     flag, pass.c_str());
+        return false;
+    }
+    if (!opt.reproPath.empty() && mode != "liveness") {
+        std::fprintf(stderr, "pcsim lint: --repro needs --liveness\n");
+        return false;
+    }
+    if (!opt.out.csvPath.empty() && opt.lintPolicy == "all") {
+        std::fprintf(stderr, "pcsim lint: --policy=all cannot combine "
+                             "with --csv (lint one policy per CSV)\n");
+        return false;
+    }
+    return true;
+}
+
+/**
+ * `pcsim lint`: one pass -- the spec lint, --mdg or --liveness -- over
+ * each selected policy. A single-policy spec lint writes the classic
+ * lintToJson document (and optionally CSV); every other run combines
+ * per-policy fragments into one {"mode": ...} document. Exit 0 clean,
+ * 1 usage/IO error, 2 findings.
+ */
+int
+lintCommand(const Options &opt)
+{
+    const std::string mode = opt.lintMode.empty() ? "spec" : opt.lintMode;
+    if (!lintFlagsApply(opt, mode))
         return 1;
+    if (!opt.coveragePath.empty())
+        return lintCoverage(opt);
+
+    std::vector<PolicySel> sels;
+    if (mode == "spec" && opt.lintPolicy.empty()) {
+        // Historical default: the shipped full-protocol spec, checked
+        // against the MESI-dir + delegation model family (keeps the
+        // committed lint_clean.json byte-identical).
+        sels.push_back({"", &verify::protocolSpec(),
+                        verify::McCheckSet::MesiDele});
+    } else if (!resolvePolicies(opt.lintPolicy, sels)) {
+        return 1;
+    }
+    const bool classic = mode == "spec" && opt.lintPolicy != "all";
+    const bool print = opt.out.jsonPath != "-" && opt.out.csvPath != "-";
 
     JsonValue policies = JsonValue::array();
+    JsonValue classic_doc;
+    std::string csv;
     std::size_t total = 0;
     bool io_ok = true;
     bool wrote_repro = false;
     for (const PolicySel &sel : sels) {
-        const verify::LivenessReport rep =
-            verify::analyzeLiveness(sel.set);
-        policies.push(verify::livenessPolicyJson(sel.name, rep));
-        if (opt.out.jsonPath != "-") {
-            std::printf("policy %s:\n", sel.name.c_str());
-            for (const auto &c : rep.configs) {
-                std::printf("  config %s: %llu states, %llu edges "
-                            "(%llu progress), %llu quiescent%s\n",
-                            c.name.c_str(),
-                            (unsigned long long)c.states,
-                            (unsigned long long)c.edges,
-                            (unsigned long long)c.progressEdges,
-                            (unsigned long long)c.quiescentStates,
-                            c.completed ? "" : " [state limit hit]");
-            }
+        if (mode == "mdg") {
+            const verify::MdgReport rep = verify::analyzeMdg(*sel.spec);
+            policies.push(verify::mdgPolicyJson(sel.name, *sel.spec, rep));
+            if (print)
+                printMdgReport(sel.name, rep);
+            total += rep.findings.size();
+        } else if (mode == "liveness") {
+            const verify::LivenessReport rep =
+                verify::analyzeLiveness(sel.set);
+            policies.push(verify::livenessPolicyJson(sel.name, rep));
+            if (print)
+                printLivenessReport(sel.name, rep);
+            total += rep.findings.size();
             for (const auto &f : rep.findings) {
-                std::printf("%s (%s): %s\n", f.kind.c_str(),
-                            f.config.c_str(), f.detail.c_str());
-                std::printf("  witness prefix (%zu steps):\n",
-                            f.witness.prefix.size());
-                for (std::size_t i = 0; i < f.witness.prefix.size();
-                     ++i)
-                    std::printf("    %3zu. %s\n", i + 1,
-                                f.witness.prefix[i].c_str());
-                if (!f.witness.cycle.empty()) {
-                    std::printf("  non-progress cycle (%zu steps):\n",
-                                f.witness.cycle.size());
-                    for (std::size_t i = 0;
-                         i < f.witness.cycle.size(); ++i)
-                        std::printf("    %3zu. %s\n", i + 1,
-                                    f.witness.cycle[i].c_str());
-                }
-            }
-        }
-        total += rep.findings.size();
-
-        if (!opt.reproPath.empty() && !wrote_repro) {
-            for (const auto &f : rep.findings) {
-                if (f.witness.ops.empty())
+                if (opt.reproPath.empty() || wrote_repro ||
+                    f.witness.ops.empty())
                     continue;
                 io_ok &= writeLivenessRepro(opt.reproPath, f.config, 3,
                                             f.witness.ops);
                 wrote_repro = true;
-                if (opt.out.jsonPath != "-")
+                if (print)
                     std::printf("repro trace written to %s\n",
                                 opt.reproPath.c_str());
-                break;
             }
-        }
-    }
-
-    return finishFindings(opt, "liveness", std::move(policies), total,
-                          io_ok);
-}
-
-int
-lintCommand(const Options &opt)
-{
-    if (!opt.coveragePath.empty())
-        return lintCoverage(opt);
-
-    if (opt.lintMode == "mdg")
-        return lintMdgCommand(opt);
-    if (opt.lintMode == "liveness")
-        return lintLivenessCommand(opt);
-
-    if (opt.lintPolicy.empty()) {
-        // Historical default: the shipped full-protocol spec, checked
-        // against the MESI-dir + delegation model family (keeps the
-        // committed lint_clean.json byte-identical).
-        return lintOneSpec(opt, verify::protocolSpec(),
-                           verify::McCheckSet::MesiDele, nullptr);
-    }
-
-    if (opt.lintPolicy == "all") {
-        if (!opt.out.csvPath.empty()) {
-            std::fprintf(stderr,
-                         "pcsim lint: --policy=all cannot combine "
-                         "with --csv (lint one policy per CSV)\n");
-            return 1;
-        }
-        // With --json the per-policy documents combine into one
-        // {"mode": "spec"} envelope; without it, print each policy.
-        JsonValue policies = JsonValue::array();
-        int worst = 0;
-        std::vector<PolicySel> sels;
-        resolvePolicies("all", sels);
-        for (const PolicySel &p : sels) {
+        } else {
             const verify::LintReport rep =
-                opt.lintMc ? verify::lintSpecWithModel(*p.spec, p.set)
-                           : verify::lintSpec(*p.spec);
-            if (!opt.out.jsonPath.empty())
-                policies.push(verify::lintPolicyJson(p.name, *p.spec, rep));
-            if (opt.out.jsonPath != "-")
-                printLintReport(*p.spec, rep, p.name.c_str());
-            worst = std::max(worst, rep.clean() ? 0 : 2);
+                opt.lintMc ? verify::lintSpecWithModel(*sel.spec, sel.set)
+                           : verify::lintSpec(*sel.spec);
+            if (classic) {
+                classic_doc = verify::lintToJson(*sel.spec, rep);
+                csv = verify::lintToCsv(rep);
+            } else {
+                policies.push(
+                    verify::lintPolicyJson(sel.name, *sel.spec, rep));
+            }
+            if (print)
+                printLintReport(*sel.spec, rep, sel.name);
+            total += rep.findings.size();
         }
-        if (!opt.out.jsonPath.empty()) {
-            if (!runner::writeTextFile(
-                    opt.out.jsonPath,
-                    verify::lintFindingsDocument("spec",
-                                                 std::move(policies))
-                            .dump(2) +
-                        "\n"))
-                return 1;
-        }
-        return worst;
     }
 
-    std::vector<PolicySel> sels;
-    if (!resolvePolicies(opt.lintPolicy, sels))
+    if (!opt.out.jsonPath.empty()) {
+        const JsonValue doc =
+            classic ? std::move(classic_doc)
+                    : verify::lintFindingsDocument(mode,
+                                                   std::move(policies));
+        io_ok &= runner::writeTextFile(opt.out.jsonPath,
+                                       doc.dump(2) + "\n");
+    }
+    if (!opt.out.csvPath.empty())
+        io_ok &= runner::writeTextFile(opt.out.csvPath, csv);
+    if (mode != "spec" && print) {
+        if (total)
+            std::printf("%s: %zu finding(s)\n", mode.c_str(), total);
+        else
+            std::printf("%s: clean\n", mode.c_str());
+    }
+    if (!io_ok)
         return 1;
-    return lintOneSpec(opt, *sels[0].spec, sels[0].set,
-                       sels[0].name.c_str());
+    return total ? 2 : 0;
 }
 
 } // namespace

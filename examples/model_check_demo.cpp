@@ -12,7 +12,6 @@
 
 #include <cstdio>
 
-#include "src/mc/explorer.hh"
 #include "src/mc/protocol_model.hh"
 #include "src/mc/schedule_explorer.hh"
 #include "src/system/presets.hh"
@@ -28,13 +27,17 @@ explore(const char *label, ModelConfig cfg,
         std::uint64_t max_states = 5'000'000)
 {
     ProtocolModel model(cfg);
-    Explorer<ProtocolModel> ex(model, max_states);
+    GraphExplorer<ProtocolModel> ex(model, max_states);
     try {
-        McResult r = ex.run();
-        std::printf("  %-44s %9llu states %10llu transitions %s\n",
-                    label, (unsigned long long)r.statesExplored,
-                    (unsigned long long)r.transitionsTaken,
-                    r.completed ? "(exhaustive)" : "(bounded)");
+        const auto g = ex.run();
+        std::printf("  %-44s %9zu states %10llu transitions %s\n",
+                    label, g.states.size(),
+                    (unsigned long long)g.transitionsTaken,
+                    g.completed ? "(exhaustive)" : "(bounded)");
+        for (std::uint32_t id : g.deadlocks)
+            std::printf("  DEADLOCK:\n%s\n%s\n",
+                        model.describe(g.states[id]).c_str(),
+                        model.blockedSummary(g.states[id]).c_str());
     } catch (const McError &e) {
         std::printf("  %-44s VIOLATION:\n%s\n", label, e.what());
     }

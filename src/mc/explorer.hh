@@ -8,6 +8,9 @@
  * provides the same method: breadth-first exploration of a model's
  * state space with invariant checking at every state and deadlock
  * detection (a non-quiescent state with no enabled transition).
+ * Exploration and analysis are separate: GraphExplorer returns the
+ * state graph, and the lint passes (src/verify/liveness.hh) analyze
+ * it.
  *
  * A Model must provide:
  *   using State = ...;                    // copyable, hashable
@@ -46,114 +49,12 @@ class McError : public std::runtime_error
     }
 };
 
-/** Result of an exploration. */
-struct McResult
-{
-    std::uint64_t statesExplored = 0;
-    std::uint64_t transitionsTaken = 0;
-    bool completed = false; ///< false if the state limit was hit
-};
-
-/** Breadth-first explicit-state explorer. */
-template <typename Model>
-class Explorer
-{
-  public:
-    explicit Explorer(const Model &model, std::uint64_t max_states =
-                                              5'000'000)
-        : _model(model), _maxStates(max_states)
-    {
-    }
-
-    /**
-     * Explore the reachable state space.
-     * @throws McError on an invariant violation or deadlock.
-     */
-    McResult
-    run()
-    {
-        using State = typename Model::State;
-
-        McResult res;
-        std::unordered_map<std::uint64_t, std::vector<State>> visited;
-        std::deque<State> frontier;
-
-        auto seen = [&](const State &s) {
-            auto &bucket = visited[_model.hash(s)];
-            for (const State &t : bucket) {
-                if (_model.equal(s, t))
-                    return true;
-            }
-            bucket.push_back(s);
-            return false;
-        };
-
-        auto check = [this](const State &st) {
-            try {
-                _model.checkInvariants(st);
-            } catch (const McError &e) {
-                throw McError(std::string(e.what()) + "\nin state:\n" +
-                              _model.describe(st));
-            }
-        };
-
-        State init = _model.initial();
-        check(init);
-        seen(init);
-        frontier.push_back(std::move(init));
-        res.statesExplored = 1;
-
-        std::vector<State> succ;
-        while (!frontier.empty()) {
-            if (res.statesExplored > _maxStates)
-                return res; // bounded run: completed stays false
-
-            State s = std::move(frontier.front());
-            frontier.pop_front();
-
-            succ.clear();
-            try {
-                _model.transitions(s, succ);
-            } catch (const McError &e) {
-                throw McError(std::string(e.what()) +
-                              "\nwhile expanding state:\n" +
-                              _model.describe(s));
-            }
-            if (succ.empty() && !_model.isQuiescent(s)) {
-                std::string msg =
-                    "deadlock: no enabled transition in "
-                    "non-quiescent state\n" +
-                    _model.describe(s);
-                // Models may offer focused diagnostics (pending ops,
-                // per-channel occupancy) beyond the full state dump.
-                if constexpr (requires { _model.blockedSummary(s); })
-                    msg += "\n" + _model.blockedSummary(s);
-                throw McError(msg);
-            }
-            for (State &n : succ) {
-                ++res.transitionsTaken;
-                check(n);
-                if (!seen(n)) {
-                    ++res.statesExplored;
-                    frontier.push_back(std::move(n));
-                }
-            }
-        }
-        res.completed = true;
-        return res;
-    }
-
-  private:
-    const Model &_model;
-    std::uint64_t _maxStates;
-};
-
 /**
  * Breadth-first explorer that retains the full explored state graph
  * for offline analyses (the liveness lint's fairness-constrained SCC
- * pass). Unlike Explorer it *records* hard deadlocks instead of
- * throwing -- callers turn them into findings with witnesses --
- * while invariant violations still throw McError.
+ * pass). It *records* hard deadlocks instead of throwing -- callers
+ * turn them into findings with witnesses -- while invariant
+ * violations throw McError.
  */
 template <typename Model>
 class GraphExplorer

@@ -19,7 +19,14 @@
  *  - directory consistency: owner/sharers cover the actual holders,
  *  - bounded channels never overflow.
  * Deadlock (a non-quiescent state with no enabled transition) is
- * detected by the Explorer.
+ * recorded by the GraphExplorer.
+ *
+ * The model speaks the controllers' own vocabulary: messages are
+ * MsgType values (ReqExcl stands for both ReqExcl and ReqUpgrade --
+ * the model does not distinguish upgrades), caches hold LineState
+ * Invalid / Shared / Modified, the home is a DirState, and the
+ * producer table reports the spec's prod* StateIds. Its transitions
+ * are therefore spec tuples with no translation layer in between.
  */
 
 #ifndef PCSIM_MC_PROTOCOL_MODEL_HH
@@ -30,8 +37,11 @@
 #include <string>
 #include <vector>
 
+#include "src/cache/line_state.hh"
 #include "src/mc/explorer.hh"
-#include "src/mc/mtype.hh"
+#include "src/mem/directory.hh"
+#include "src/net/message.hh"
+#include "src/verify/spec.hh"
 
 namespace pcsim
 {
@@ -41,25 +51,26 @@ namespace mc
 constexpr unsigned maxNodes = 4;
 constexpr unsigned chanDepth = 4;
 
-/** Abstract cache state. */
-enum class CState : std::uint8_t { I, S, M };
-
-/** Abstract directory state. */
-enum class DState : std::uint8_t
-{
-    U,
-    S,
-    E,
-    BusyR,
-    BusyE,
-    Dele,
-    BusyUpd, ///< write-update episode open (value matches DirState)
+/** The message types the model carries (the mdg lint reports the
+ *  rest of the spec's vocabulary as unmodeled). */
+constexpr MsgType modeledMessages[] = {
+    MsgType::ReqShared,      MsgType::ReqExcl,
+    MsgType::RespSharedData, MsgType::RespExclData,
+    MsgType::Inval,          MsgType::InvalAck,
+    MsgType::IntervDowngrade, MsgType::IntervTransfer,
+    MsgType::SharedResp,     MsgType::SharedWriteback,
+    MsgType::ExclResp,       MsgType::TransferAck,
+    MsgType::IntervNack,     MsgType::Nack,
+    MsgType::NackNotHome,    MsgType::Delegate,
+    MsgType::Undele,         MsgType::Update,
+    MsgType::UpdGrant,       MsgType::UpdateWB,
+    MsgType::UpdateDrop,
 };
 
 /** An abstract in-flight message. */
 struct MMsg
 {
-    MType type{};
+    MsgType type{};
     std::uint8_t requester = 0;
     std::uint8_t version = 0;
     std::uint8_t acks = 0;
@@ -112,28 +123,23 @@ struct ModelConfig
      *  abstraction of the bounded per-line queue; a second concurrent
      *  request falls back to NACK exactly like queue overflow). */
     bool homeQueue = false;
+
+    bool operator==(const ModelConfig &) const = default;
 };
 
 /**
  * Observer of abstract-model FSM transitions, used by the lint pass
  * to cross-check the declarative transition spec against the model's
- * reachable transition relation. Controllers are numbered 0 cache,
- * 1 directory, 2 producer; events are raw MType values or the
- * synthetic codes below; states are raw CState / DState values, and
- * 0 none / 1 shared / 2 exclusive for the producer table.
+ * reachable transition relation. Each step is reported as the spec
+ * tuple it is: (controller, state, event, next state).
  */
 class TransitionListener
 {
   public:
     virtual ~TransitionListener() = default;
-    virtual void onTransition(int ctrl, int pre, int event,
-                              int post) = 0;
-
-    // Synthetic events with no MType (values clear of any MType).
-    static constexpr int evLocalDowngrade = 64;
-    static constexpr int evDelayedInterv = 65;
-    static constexpr int evCpuLoad = 66;
-    static constexpr int evCpuStore = 67;
+    virtual void onTransition(verify::Ctrl ctrl, verify::StateId pre,
+                              verify::PEvent event,
+                              verify::StateId post) = 0;
 };
 
 /** The abstract protocol model (see file header). */
@@ -143,7 +149,7 @@ class ProtocolModel
     struct State
     {
         // Per node.
-        std::array<CState, maxNodes> cache{};
+        std::array<LineState, maxNodes> cache{};
         std::array<std::uint8_t, maxNodes> cacheV{};
         // MSHR: 0 none, 1 read pending, 2 write pending.
         std::array<std::uint8_t, maxNodes> mshr{};
@@ -161,7 +167,7 @@ class ProtocolModel
         std::array<std::uint8_t, maxNodes> mshrSeq{};
 
         // Home directory.
-        DState dir = DState::U;
+        DirState dir = DirState::Unowned;
         std::uint8_t sharers = 0;
         std::uint8_t owner = 0xf;
         std::uint8_t pendReq = 0xf;
@@ -214,7 +220,7 @@ class ProtocolModel
     std::string describe(const State &s) const;
     /** Focused deadlock diagnostics: the blocked state's pending-op
      *  set and per-channel occupancy (src->dst fill/depth plus the
-     *  queued message types), appended to Explorer deadlock errors. */
+     *  queued message types), appended to deadlock findings. */
     std::string blockedSummary(const State &s) const;
     std::uint64_t hash(const State &s) const;
     bool equal(const State &a, const State &b) const { return a == b; }

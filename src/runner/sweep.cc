@@ -448,27 +448,27 @@ const ColumnTable faultsTable{
 };
 
 const SweepPreset presetTable[] = {
-    {"run", buildRun, {&runTable}, "", 1},
-    {"serve", buildServe, {&serveTable}, "BENCH_serve.json", 0},
-    {"compare", buildCompare, {&compareTable}, "BENCH_compare.json", 0},
-    {"scale", buildScale, {&scaleTable}, "BENCH_scale.json", 0},
-    {"faults", buildFaults, {&faultsTable}, "BENCH_faults.json", 0},
-    {"qos", buildQos, {&faultsTable}, "BENCH_qos.json", 0},
+    {"run", buildRun, {&runTable}, 1},
+    {"serve", buildServe, {&serveTable}, 0},
+    {"compare", buildCompare, {&compareTable}, 0},
+    {"scale", buildScale, {&scaleTable}, 0},
+    {"faults", buildFaults, {&faultsTable}, 0},
+    {"qos", buildQos, {&faultsTable}, 0},
     {"fig7", buildFigure<figures::figure7Jobs>,
-     {nullptr, figures::printFigure7}, "pcsim-fig7.results.json", 0},
+     {nullptr, figures::printFigure7}, 0},
     {"fig8", buildFigure<figures::figure8Jobs>,
-     {nullptr, figures::printFigure8}, "pcsim-fig8.results.json", 0},
+     {nullptr, figures::printFigure8}, 0},
     {"fig9", buildFigure<figures::figure9Jobs>,
-     {nullptr, figures::printFigure9}, "pcsim-fig9.results.json", 0},
+     {nullptr, figures::printFigure9}, 0},
     {"fig10", buildFigure<figures::figure10Jobs>,
-     {nullptr, figures::printFigure10}, "pcsim-fig10.results.json", 0},
+     {nullptr, figures::printFigure10}, 0},
     {"fig11", buildFigure<figures::figure11Jobs>,
-     {nullptr, figures::printFigure11}, "pcsim-fig11.results.json", 0},
+     {nullptr, figures::printFigure11}, 0},
     {"fig12", buildFigure<figures::figure12Jobs>,
-     {nullptr, figures::printFigure12}, "pcsim-fig12.results.json", 0},
-    {"table2", nullptr, {}, "", 0, printTable2},
+     {nullptr, figures::printFigure12}, 0},
+    {"table2", nullptr, {}, 0, printTable2},
     {"table3", buildFigure<figures::table3Jobs>,
-     {nullptr, figures::printTable3}, "pcsim-table3.results.json", 0},
+     {nullptr, figures::printTable3}, 0},
 };
 
 } // namespace
@@ -523,8 +523,6 @@ runPreset(const SweepPreset &preset, const SweepAxes &axes,
         std::fprintf(stderr, "pcsim %s: %s\n", preset.name, err.c_str());
         return 1;
     }
-    if (opt.jsonPath.empty())
-        opt.jsonPath = preset.defaultJson;
     return runSweep(set, opt, preset.table);
 }
 

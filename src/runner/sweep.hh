@@ -4,7 +4,9 @@
  *
  * A preset is a name, a job-grid builder over the shared axes
  * (workload/scenario, node count, named config, arbitration, fault
- * scenario, seed, scale), a printed table and a default JSON path.
+ * scenario, seed, scale) and a printed table. A preset writes a
+ * results document only where --json / --csv point, so no run can
+ * overwrite a committed reference by default.
  * `pcsim run`, `serve`, `compare`, `scale`, `faults`, `qos` and every
  * `sweep --figure N` / `--table N` are presets; runSweep() is the one
  * loop that runs a grid, checks determinism, writes JSON/CSV and
@@ -118,9 +120,6 @@ struct SweepPreset
      *  nullptr for a table that needs no simulation. */
     bool (*build)(const SweepAxes &axes, JobSet &out, std::string &err);
     SweepTable table;
-    /** Results document written when --json is not given ("" =
-     *  none). */
-    const char *defaultJson;
     /** Worker threads when -j is not given (0 = all cores). */
     unsigned defaultThreads;
     /** Prints a table that needs no simulation (Table 2). */
@@ -145,8 +144,7 @@ bool buildGrid(const SweepPreset &preset, const SweepAxes &axes,
 int runSweep(const JobSet &set, const SweepOptions &opt,
              const SweepTable &table = {});
 
-/** Build and run a preset; 1 (with a message) on bad axes. Empty
- *  jsonPath falls back to the preset's default document. */
+/** Build and run a preset; 1 (with a message) on bad axes. */
 int runPreset(const SweepPreset &preset, const SweepAxes &axes,
               SweepOptions opt);
 

@@ -6,8 +6,6 @@
 #include <map>
 #include <set>
 
-#include "src/mc/explorer.hh"
-#include "src/mc/protocol_model.hh"
 #include "src/verify/liveness.hh"
 
 namespace pcsim::verify
@@ -15,19 +13,6 @@ namespace pcsim::verify
 
 namespace
 {
-
-std::uint32_t
-encodeKey(unsigned ctrl, unsigned state, unsigned event)
-{
-    return (ctrl << 16) | (state << 8) | event;
-}
-
-std::uint32_t
-encodeTuple(unsigned ctrl, unsigned state, unsigned event,
-            unsigned next)
-{
-    return (ctrl << 24) | (state << 16) | (event << 8) | next;
-}
 
 void
 finding(LintReport &r, const char *kind, Ctrl c, const std::string &state,
@@ -62,12 +47,9 @@ lintUnhandled(const TransitionSpec &spec, LintReport &r)
 void
 lintAmbiguous(const TransitionSpec &spec, LintReport &r)
 {
-    std::map<std::uint32_t, unsigned> seen;
+    std::map<SpecTuple, unsigned> seen; // keyed with next = 0
     for (const TransitionRule &rule : spec.rules()) {
-        const auto key =
-            encodeKey(static_cast<unsigned>(rule.ctrl), rule.state,
-                      static_cast<unsigned>(rule.event));
-        if (++seen[key] == 2) {
+        if (++seen[{rule.ctrl, rule.state, rule.event}] == 2) {
             finding(r, "ambiguous", rule.ctrl,
                     spec.stateName(rule.ctrl, rule.state),
                     eventName(rule.event),
@@ -119,96 +101,53 @@ lintUnreachable(const TransitionSpec &spec, LintReport &r)
 
 // --- Pass 4: model cross-check --------------------------------------
 
-/** Collects the distinct transitions the abstract model takes. */
-class TupleCollector : public mc::TransitionListener
-{
-  public:
-    void
-    onTransition(int ctrl, int pre, int event, int post) override
-    {
-        _seen.insert(encodeTuple(ctrl, pre, event, post));
-    }
-
-    const std::set<std::uint32_t> &seen() const { return _seen; }
-
-  private:
-    std::set<std::uint32_t> _seen;
-};
-
 void
 lintModelCrossCheck(const TransitionSpec &spec, McCheckSet set,
                     LintReport &r)
 {
-    // The configuration family is shared with the liveness pass (see
-    // src/verify/liveness.hh) so both verify the same models.
-    std::map<std::uint32_t, std::string> observed; // tuple -> config
+    // The explorations are shared with the liveness pass (see
+    // src/verify/liveness.hh): same configuration family, and each
+    // configuration is explored once per process.
+    std::map<SpecTuple, std::string> observed; // tuple -> first config
     for (const NamedModelConfig &mcfg : modelConfigsFor(set)) {
-        mc::ProtocolModel model(mcfg.cfg);
-        TupleCollector collector;
-        model.setListener(&collector);
-        Explorer<mc::ProtocolModel> explorer(model);
-        try {
-            McResult res = explorer.run();
-            r.mcStates += res.statesExplored;
-        } catch (const McError &e) {
+        const ModelExploration e = exploreModel(mcfg);
+        std::string failure = e.violation;
+        for (const LivenessFinding &f : e.findings) {
+            if (failure.empty() && f.kind == "deadlock")
+                failure = f.detail;
+        }
+        if (!failure.empty()) {
             finding(r, "mc-mismatch", Ctrl::Cache, "", "",
-                    std::string("model exploration failed (") +
-                        mcfg.name + "): " + e.what());
+                    "model exploration failed (" + mcfg.name +
+                        "): " + failure);
             continue;
         }
         ++r.mcConfigs;
-        for (std::uint32_t t : collector.seen()) {
-            if (!observed.count(t))
-                observed[t] = mcfg.name;
-        }
+        r.mcStates += e.stats.states;
+        for (const SpecTuple &t : e.observed)
+            observed.emplace(t, mcfg.name);
     }
     r.mcObserved = observed.size();
 
-    for (const auto &[tuple, config] : observed) {
-        const unsigned ctrl = (tuple >> 24) & 0xff;
-        const unsigned pre = (tuple >> 16) & 0xff;
-        const unsigned ev = (tuple >> 8) & 0xff;
-        const unsigned post = tuple & 0xff;
-
-        const Ctrl c = static_cast<Ctrl>(ctrl);
-        StateId specPre, specPost;
-        PEvent specEv;
-        if (!mapMcState(ctrl, pre, specPre) ||
-            !mapMcState(ctrl, post, specPost) ||
-            !mapMcEvent(ev, specEv)) {
-            finding(r, "mc-mismatch", c, "", "",
-                    "unmappable model transition (ctrl " +
-                        std::to_string(ctrl) + ", pre " +
-                        std::to_string(pre) + ", event " +
-                        std::to_string(ev) + ", post " +
-                        std::to_string(post) + ")");
+    for (const auto &[t, config] : observed) {
+        std::string detail = "model (" + config + ")";
+        switch (spec.fit(t.ctrl, t.state, t.event, t.next)) {
+          case Fit::Ok:
             continue;
+          case Fit::Impossible:
+            detail += " exercises a pair the spec declares impossible";
+            break;
+          case Fit::NoRule:
+            detail += " exercises a pair the spec has no rule for";
+            break;
+          case Fit::NextOutside:
+            detail += " reaches '" + spec.stateName(t.ctrl, t.next) +
+                      "', outside the rule's allowed set";
+            break;
         }
-
-        if (spec.isImpossible(c, specPre, specEv)) {
-            finding(r, "mc-mismatch", c,
-                    spec.stateName(c, specPre), eventName(specEv),
-                    std::string("model (") + config +
-                        ") exercises a pair the spec declares "
-                        "impossible");
-            continue;
-        }
-        const TransitionRule *rule = spec.find(c, specPre, specEv);
-        if (!rule) {
-            finding(r, "mc-mismatch", c,
-                    spec.stateName(c, specPre), eventName(specEv),
-                    std::string("model (") + config +
-                        ") exercises a pair the spec has no rule "
-                        "for");
-            continue;
-        }
-        if (!rule->allowsNext(specPost)) {
-            finding(r, "mc-mismatch", c,
-                    spec.stateName(c, specPre), eventName(specEv),
-                    std::string("model (") + config + ") reaches '" +
-                        spec.stateName(c, specPost) +
-                        "', outside the rule's allowed set");
-        }
+        finding(r, "mc-mismatch", t.ctrl,
+                spec.stateName(t.ctrl, t.state), eventName(t.event),
+                std::move(detail));
     }
 }
 
@@ -339,18 +278,16 @@ CoverageReport
 computeCoverage(const TransitionSpec &spec,
                 const std::vector<TransitionCount> &observed)
 {
-    std::map<std::uint32_t, std::uint64_t> counts;
+    std::map<SpecTuple, std::uint64_t> counts;
     for (const TransitionCount &t : observed)
-        counts[encodeTuple(t.ctrl, t.state, t.event, t.next)] +=
-            t.count;
+        counts[{static_cast<Ctrl>(t.ctrl), t.state,
+                static_cast<PEvent>(t.event), t.next}] += t.count;
 
     CoverageReport r;
-    std::set<std::uint32_t> emitted;
+    std::set<SpecTuple> emitted;
     for (const TransitionRule &rule : spec.rules()) {
         for (StateId n : rule.next) {
-            const std::uint32_t key = encodeTuple(
-                static_cast<unsigned>(rule.ctrl), rule.state,
-                static_cast<unsigned>(rule.event), n);
+            const SpecTuple key{rule.ctrl, rule.state, rule.event, n};
             if (!emitted.insert(key).second)
                 continue;
             CoverageRow row;

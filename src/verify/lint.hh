@@ -13,8 +13,10 @@
  *                   the controller's initial state,
  *  - "mc-mismatch": the src/mc 3-node abstraction, explored
  *                   exhaustively, takes a transition the spec does not
- *                   admit (missing rule, impossible pair, or a next
- *                   state outside the allowed set).
+ *                   admit (TransitionSpec::fit: missing rule,
+ *                   impossible pair, or a next state outside the
+ *                   allowed set), or its exploration failed (an
+ *                   invariant violation or a hard deadlock).
  *
  * The coverage report inverts the runtime feed: it lists every legal
  * (state, event, next) tuple the spec admits and how often recorded

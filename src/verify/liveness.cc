@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <deque>
+#include <mutex>
+#include <set>
+#include <tuple>
 
 #include "src/mc/explorer.hh"
 
@@ -12,6 +15,20 @@ namespace
 
 using MState = mc::ProtocolModel::State;
 using Graph = GraphExplorer<mc::ProtocolModel>::Graph;
+
+/** Collects the distinct spec tuples the model's FSM steps take. */
+class TupleCollector : public mc::TransitionListener
+{
+  public:
+    void
+    onTransition(Ctrl ctrl, StateId pre, PEvent event,
+                 StateId post) override
+    {
+        seen.insert({ctrl, pre, event, post});
+    }
+
+    std::set<SpecTuple> seen;
+};
 
 /** Progress measure (see file header of liveness.hh): remaining op
  *  budgets plus occupied MSHRs; strictly decreases exactly when an
@@ -46,7 +63,7 @@ hopOps(const MState &a, const MState &b, unsigned nodes,
     if (a.writesLeft > b.writesLeft) {
         // Store hit on an M copy: performed in place, MSHR untouched.
         for (unsigned n = 0; n < nodes; ++n) {
-            if (b.cache[n] == mc::CState::M &&
+            if (b.cache[n] == LineState::Modified &&
                 b.cacheV[n] != a.cacheV[n]) {
                 ops.push_back({static_cast<std::uint8_t>(n), true});
                 return;
@@ -72,11 +89,11 @@ hopLabel(const MState &a, const MState &b, unsigned nodes)
             const unsigned la = a.chanLen[s][d], lb = b.chanLen[s][d];
             if (lb < la)
                 add(std::string("deliver ") +
-                    mc::mtypeName(a.chan[s][d][0].type) + " " +
+                    msgTypeName(a.chan[s][d][0].type) + " " +
                     std::to_string(s) + "->" + std::to_string(d));
             for (unsigned i = la; i < lb; ++i)
                 add(std::string("send ") +
-                    mc::mtypeName(b.chan[s][d][i].type) + " " +
+                    msgTypeName(b.chan[s][d][i].type) + " " +
                     std::to_string(s) + "->" + std::to_string(d));
         }
     }
@@ -128,13 +145,23 @@ renderHops(const Graph &g, const std::vector<std::uint32_t> &ids,
     }
 }
 
-void
-analyzeConfig(const NamedModelConfig &ncfg, std::uint64_t max_states,
-              LivenessReport &report)
+/** Explore @p ncfg once: the graph feeds the liveness analysis and
+ *  the attached listener records the spec tuples. */
+ModelExploration
+exploreAndAnalyze(const NamedModelConfig &ncfg, std::uint64_t max_states)
 {
+    ModelExploration result;
     mc::ProtocolModel model(ncfg.cfg);
-    GraphExplorer<mc::ProtocolModel> explorer(model, max_states);
-    Graph g = explorer.run();
+    TupleCollector collector;
+    model.setListener(&collector);
+    Graph g;
+    try {
+        g = GraphExplorer<mc::ProtocolModel>(model, max_states).run();
+    } catch (const McError &e) {
+        result.violation = e.what();
+        return result;
+    }
+    result.observed.assign(collector.seen.begin(), collector.seen.end());
     const unsigned nodes = ncfg.cfg.nodes;
     const std::uint32_t n = static_cast<std::uint32_t>(g.states.size());
 
@@ -142,7 +169,7 @@ analyzeConfig(const NamedModelConfig &ncfg, std::uint64_t max_states,
     for (std::uint32_t i = 0; i < n; ++i)
         w[i] = weightOf(g.states[i], nodes);
 
-    LivenessConfigStats stats;
+    LivenessConfigStats &stats = result.stats;
     stats.name = ncfg.name;
     stats.states = n;
     stats.completed = g.completed;
@@ -182,7 +209,6 @@ analyzeConfig(const NamedModelConfig &ncfg, std::uint64_t max_states,
             }
         }
     }
-    report.configs.push_back(stats);
 
     // Hard deadlocks first: one finding, the earliest-discovered one.
     if (!g.deadlocks.empty()) {
@@ -198,7 +224,7 @@ analyzeConfig(const NamedModelConfig &ncfg, std::uint64_t max_states,
                    " steps: no enabled transition in a non-quiescent "
                    "state\n" +
                    model.blockedSummary(g.states[id]);
-        report.findings.push_back(std::move(f));
+        result.findings.push_back(std::move(f));
     }
 
     // Livelock: a cycle within the bad (non-good) region. Trim bad
@@ -239,7 +265,7 @@ analyzeConfig(const NamedModelConfig &ncfg, std::uint64_t max_states,
         }
     }
     if (entry == n)
-        return; // no non-progress cycle: live (or deadlock-only)
+        return result; // no non-progress cycle: live (or deadlock-only)
 
     // Walk first kept-bad successors from the entry until a state
     // repeats; the tail from the first repeat is the cycle.
@@ -279,7 +305,8 @@ analyzeConfig(const NamedModelConfig &ncfg, std::uint64_t max_states,
                std::to_string(f.witness.cycle.size()) +
                " reachable after " +
                std::to_string(f.witness.prefix.size()) + " steps";
-    report.findings.push_back(std::move(f));
+    result.findings.push_back(std::move(f));
+    return result;
 }
 
 } // namespace
@@ -330,13 +357,39 @@ modelConfigsFor(McCheckSet set)
                  true)};
 }
 
+ModelExploration
+exploreModel(const NamedModelConfig &config, std::uint64_t maxStates)
+{
+    // `pcsim lint --policy=all` asks for the MESI family under three
+    // policies and write-update under two, each for the cross-check
+    // and the liveness pass; the model is explored once per config.
+    static std::mutex mutex;
+    static std::vector<
+        std::tuple<NamedModelConfig, std::uint64_t, ModelExploration>>
+        cache;
+    const std::lock_guard<std::mutex> lock(mutex);
+    for (const auto &[cfg, limit, result] : cache) {
+        if (cfg == config && limit == maxStates)
+            return result;
+    }
+    cache.emplace_back(config, maxStates,
+                       exploreAndAnalyze(config, maxStates));
+    return std::get<2>(cache.back());
+}
+
 LivenessReport
 analyzeLiveness(const std::vector<NamedModelConfig> &configs,
                 std::uint64_t maxStates)
 {
     LivenessReport report;
-    for (const NamedModelConfig &c : configs)
-        analyzeConfig(c, maxStates, report);
+    for (const NamedModelConfig &c : configs) {
+        ModelExploration e = exploreModel(c, maxStates);
+        if (!e.violation.empty())
+            throw McError(e.violation);
+        report.configs.push_back(std::move(e.stats));
+        for (LivenessFinding &f : e.findings)
+            report.findings.push_back(std::move(f));
+    }
     return report;
 }
 

@@ -31,6 +31,11 @@
  * Where the lasso's hops include concrete CPU operations the witness
  * also lists them as per-node op streams, which `pcsim lint
  * --liveness --repro FILE` converts into a replayable PCTR trace.
+ *
+ * One exploration serves both lint passes: exploreModel() walks a
+ * configuration's graph once, collecting the spec tuples the model
+ * cross-check needs and the liveness stats and findings, and caches
+ * those small results (not the graph) for the rest of the process.
  */
 
 #ifndef PCSIM_VERIFY_LIVENESS_HH
@@ -52,6 +57,8 @@ struct NamedModelConfig
 {
     std::string name;
     mc::ModelConfig cfg;
+
+    bool operator==(const NamedModelConfig &) const = default;
 };
 
 /** The model configurations a check set explores -- shared between
@@ -100,6 +107,30 @@ struct LivenessConfigStats
     bool completed = false;
 };
 
+/** What one exploration of a model configuration yields: everything
+ *  the model cross-check and the liveness pass read, without the
+ *  state graph. */
+struct ModelExploration
+{
+    /** Distinct spec tuples the model's FSM steps took, sorted. */
+    std::vector<SpecTuple> observed;
+    LivenessConfigStats stats;
+    /** A deadlock finding, then a livelock finding, each optional. */
+    std::vector<LivenessFinding> findings;
+    /** McError text of an invariant violation, which aborts the
+     *  exploration (every other field is then empty). */
+    std::string violation;
+};
+
+/** Explore @p config and analyze its state graph. Results are cached
+ *  per (config, maxStates) for the life of the process, so lint
+ *  explores each distinct configuration once however many policies
+ *  and passes ask for it. At most one finding of each kind (the one
+ *  with the shortest prefix) is reported -- a bad region yields one
+ *  witness, not one per state. */
+ModelExploration exploreModel(const NamedModelConfig &config,
+                              std::uint64_t maxStates = 5'000'000);
+
 /** Outcome of the liveness pass over one configuration family. */
 struct LivenessReport
 {
@@ -109,10 +140,8 @@ struct LivenessReport
     bool clean() const { return findings.empty(); }
 };
 
-/** Explore every configuration in @p configs and analyze its state
- *  graph for livelocks and deadlocks. At most one finding (the one
- *  with the shortest prefix) is reported per configuration -- a bad
- *  region yields one witness, not one per state. */
+/** exploreModel() over every configuration in @p configs, collected
+ *  into one report. @throws McError on an invariant violation. */
 LivenessReport analyzeLiveness(const std::vector<NamedModelConfig> &configs,
                                std::uint64_t maxStates = 5'000'000);
 

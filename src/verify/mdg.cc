@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <set>
 
-#include "src/mc/mtype.hh"
 #include "src/mc/protocol_model.hh"
 
 namespace pcsim::verify
@@ -339,12 +339,9 @@ analyzeMdg(const TransitionSpec &spec)
     }
 
     // --- Types the abstract model does not carry --------------------
-    std::set<MsgType> modeled;
-    for (unsigned v = 0;
-         v < static_cast<unsigned>(mc::MType::NumMTypes); ++v)
-        modeled.insert(static_cast<MsgType>(static_cast<unsigned>(
-            eventOfMc(static_cast<mc::MType>(v)))));
-    // ReqUpgrade rides the model's collapsed ReqX (see kMcEventOf).
+    std::set<MsgType> modeled(std::begin(mc::modeledMessages),
+                              std::end(mc::modeledMessages));
+    // The model's ReqExcl also stands for ReqUpgrade.
     modeled.insert(MsgType::ReqUpgrade);
     for (MsgType t : r.messages)
         if (!modeled.count(t))

@@ -19,14 +19,12 @@ void
 TransitionObserver::begin(Ctrl c, NodeId node, Addr line, StateId pre,
                           PEvent ev)
 {
-    Frame f{_spec.find(c, pre, ev), c, node, line, pre, ev};
-    if (!f.rule) {
-        violation(f,
-                  _spec.isImpossible(c, pre, ev)
-                      ? "event declared impossible in this state"
-                      : "no rule for this (state, event) pair",
-                  "");
-    }
+    const Frame f{_spec.find(c, pre, ev), c, node, line, pre, ev};
+    const Fit fit = _spec.fit(c, pre, ev);
+    if (fit == Fit::Impossible)
+        violation(f, "event declared impossible in this state", "");
+    if (fit == Fit::NoRule)
+        violation(f, "no rule for this (state, event) pair", "");
     stack().push_back(f);
 }
 
@@ -47,7 +45,7 @@ TransitionObserver::end(StateId post)
 {
     const Frame f = stack().back();
     stack().pop_back();
-    if (!f.rule->allowsNext(post)) {
+    if (_spec.fit(f.ctrl, f.pre, f.event, post) == Fit::NextOutside) {
         violation(f, "next state outside the spec's allowed set",
                   "went to " + _spec.stateName(f.ctrl, post));
     }

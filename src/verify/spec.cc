@@ -1,53 +1,11 @@
 #include "src/verify/spec.hh"
 
 #include "src/cache/line_state.hh"
-#include "src/mc/protocol_model.hh"
 #include "src/mem/directory.hh"
 #include "src/sim/logging.hh"
 
 namespace pcsim::verify
 {
-
-bool
-mapMcEvent(unsigned ev, PEvent &out)
-{
-    using mc::TransitionListener;
-    switch (ev) {
-      case TransitionListener::evLocalDowngrade:
-        out = PEvent::LocalDowngrade;
-        return true;
-      case TransitionListener::evDelayedInterv:
-        out = PEvent::DelayedInterv;
-        return true;
-      case TransitionListener::evCpuLoad:
-        out = PEvent::CpuLoad;
-        return true;
-      case TransitionListener::evCpuStore:
-        out = PEvent::CpuStore;
-        return true;
-      default:
-        break;
-    }
-    if (ev >= static_cast<unsigned>(mc::MType::NumMTypes))
-        return false;
-    out = eventOfMc(static_cast<mc::MType>(ev));
-    return true;
-}
-
-bool
-mapMcState(unsigned ctrl, unsigned st, StateId &out)
-{
-    if (ctrl == 0) {
-        switch (st) {
-          case 0: out = 0; return true; // I  -> Invalid
-          case 1: out = 1; return true; // S  -> Shared
-          case 2: out = 3; return true; // M  -> Modified
-          default: return false;
-        }
-    }
-    out = static_cast<StateId>(st);
-    return true;
-}
 
 const char *
 ctrlName(Ctrl c)
@@ -181,6 +139,20 @@ bool
 TransitionSpec::isImpossible(Ctrl c, StateId s, PEvent e) const
 {
     return s < kMaxStates && _impossibleIndex[keyOf(c, s, e)];
+}
+
+Fit
+TransitionSpec::fit(Ctrl c, StateId s, PEvent e,
+                    std::optional<StateId> next) const
+{
+    if (isImpossible(c, s, e))
+        return Fit::Impossible;
+    const TransitionRule *rule = find(c, s, e);
+    if (!rule)
+        return Fit::NoRule;
+    if (next && !rule->allowsNext(*next))
+        return Fit::NextOutside;
+    return Fit::Ok;
 }
 
 std::string

@@ -30,12 +30,13 @@
 #ifndef PCSIM_VERIFY_SPEC_HH
 #define PCSIM_VERIFY_SPEC_HH
 
+#include <compare>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "src/mc/mtype.hh"
 #include "src/net/message.hh"
 
 namespace pcsim::verify
@@ -123,70 +124,6 @@ eventOf(MsgType t)
     return static_cast<PEvent>(t);
 }
 
-/**
- * The single authoritative mc::MType -> PEvent correspondence, shared
- * by the lint cross-check, the liveness pass and anything else that
- * maps abstract-model transitions onto the spec vocabulary. Indexed
- * by MType value; the static_asserts below keep it exhaustive and
- * message-only, so a new abstract message type cannot silently
- * diverge from the spec's event aliasing.
- *
- * MType::ReqX deliberately collapses onto PEvent::ReqExcl: the model
- * does not distinguish upgrades from full exclusive requests.
- */
-constexpr PEvent kMcEventOf[] = {
-    /* ReqS        */ PEvent::ReqShared,
-    /* ReqX        */ PEvent::ReqExcl,
-    /* RespS       */ PEvent::RespSharedData,
-    /* RespX       */ PEvent::RespExclData,
-    /* Inval       */ PEvent::Inval,
-    /* InvalAck    */ PEvent::InvalAck,
-    /* IntervDown  */ PEvent::IntervDowngrade,
-    /* IntervXfer  */ PEvent::IntervTransfer,
-    /* SharedResp  */ PEvent::SharedResp,
-    /* Shwb        */ PEvent::SharedWriteback,
-    /* XferResp    */ PEvent::ExclResp,
-    /* XferAck     */ PEvent::TransferAck,
-    /* IntervNack  */ PEvent::IntervNack,
-    /* Nack        */ PEvent::Nack,
-    /* NackNotHome */ PEvent::NackNotHome,
-    /* Delegate    */ PEvent::Delegate,
-    /* Undele      */ PEvent::Undele,
-    /* Update      */ PEvent::Update,
-    /* UpdGrant    */ PEvent::UpdGrant,
-    /* UpdateWB    */ PEvent::UpdateWB,
-    /* UpdDrop     */ PEvent::UpdateDrop,
-};
-
-static_assert(sizeof(kMcEventOf) / sizeof(kMcEventOf[0]) ==
-                  static_cast<unsigned>(mc::MType::NumMTypes),
-              "every abstract-model message type must map to a spec "
-              "event (extend kMcEventOf alongside mc::MType)");
-
-constexpr bool
-mcEventTableAliasesMessages()
-{
-    for (PEvent e : kMcEventOf) {
-        const auto v = static_cast<unsigned>(e);
-        if (v >= static_cast<unsigned>(PEvent::NumPEvents))
-            return false;
-        if (v >= static_cast<unsigned>(PEvent::CpuLoad) &&
-            v <= static_cast<unsigned>(PEvent::RacPressure))
-            return false; // synthetic local events carry no message
-    }
-    return true;
-}
-
-static_assert(mcEventTableAliasesMessages(),
-              "kMcEventOf entries must be message-delivery events");
-
-/** The spec event a delivered abstract-model message maps onto. */
-constexpr PEvent
-eventOfMc(mc::MType t)
-{
-    return kMcEventOf[static_cast<unsigned>(t)];
-}
-
 const char *eventName(PEvent e);
 
 /** A controller state, in that controller's own encoding: raw
@@ -199,16 +136,25 @@ constexpr StateId prodNone = 0;   ///< no producer-table entry
 constexpr StateId prodShared = 1; ///< delegated, directory not owned
 constexpr StateId prodExcl = 2;   ///< delegated, producer owns the line
 
-/** Map a TransitionListener event code -- a raw mc::MType value or
- *  one of the synthetic ev* codes -- onto the spec vocabulary;
- *  false when the code is neither. */
-bool mapMcEvent(unsigned ev, PEvent &out);
+/** One observed transition: (controller, state, event, next). */
+struct SpecTuple
+{
+    Ctrl ctrl = Ctrl::Cache;
+    StateId state = 0;
+    PEvent event = PEvent::NumPEvents;
+    StateId next = 0;
 
-/** Map an abstract-model controller state (raw CState / DState /
- *  producer-table encoding) onto the spec StateId for controller
- *  index @p ctrl (0 cache, 1 dir, 2 producer). CState::M is value 2
- *  but LineState::Modified is 3; everything else is value-identical. */
-bool mapMcState(unsigned ctrl, unsigned st, StateId &out);
+    auto operator<=>(const SpecTuple &) const = default;
+};
+
+/** How an observed transition fits the spec. */
+enum class Fit : std::uint8_t
+{
+    Ok,
+    Impossible,  ///< the (state, event) pair is declared impossible
+    NoRule,      ///< no rule for the (state, event) pair
+    NextOutside, ///< the next state is outside the rule's allowed set
+};
 
 /** One row of the transition table. */
 struct TransitionRule
@@ -276,6 +222,12 @@ class TransitionSpec
     bool removeRule(Ctrl c, StateId s, PEvent e);
 
     bool isImpossible(Ctrl c, StateId s, PEvent e) const;
+
+    /** Whether (c, s, e) -> @p next fits the spec; without @p next
+     *  only the (state, event) pair is checked. The runtime observer
+     *  and the lint's model cross-check both judge transitions here. */
+    Fit fit(Ctrl c, StateId s, PEvent e,
+            std::optional<StateId> next = std::nullopt) const;
 
     const std::vector<TransitionRule> &rules() const { return _rules; }
     const std::vector<ImpossibleEntry> &

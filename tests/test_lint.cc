@@ -149,6 +149,41 @@ TEST(Lint, DetectsModelMismatch)
     EXPECT_TRUE(hasFinding(r, "mc-mismatch", "Unowned", "ReqShared"));
 }
 
+TEST(Lint, FitClassifiesTuples)
+{
+    const TransitionSpec &spec = protocolSpec();
+    const auto I = static_cast<StateId>(LineState::Invalid);
+    const auto S = static_cast<StateId>(LineState::Shared);
+    const auto M = static_cast<StateId>(LineState::Modified);
+    EXPECT_EQ(spec.fit(Ctrl::Cache, I, PEvent::CpuLoad), Fit::Ok);
+    EXPECT_EQ(spec.fit(Ctrl::Cache, S, PEvent::CpuLoad, S), Fit::Ok);
+    EXPECT_EQ(spec.fit(Ctrl::Cache, S, PEvent::CpuLoad, M),
+              Fit::NextOutside);
+    EXPECT_EQ(spec.fit(Ctrl::Cache, I, PEvent::Evict), Fit::Impossible);
+    EXPECT_EQ(spec.fit(Ctrl::Cache, I, PEvent::UpdGrant), Fit::NoRule);
+}
+
+TEST(Lint, CrossCheckAndLivenessShareExplorations)
+{
+    // Both passes read one cached exploration per model config, so the
+    // cross-check's state total is exactly the liveness per-config sum.
+    const std::pair<McCheckSet, const TransitionSpec *> sets[] = {
+        {McCheckSet::MesiDele, &protocolSpec()},
+        {McCheckSet::WriteUpdate, &writeUpdateSpec()},
+        {McCheckSet::AdaptiveHybrid, &adaptiveHybridSpec()},
+    };
+    for (const auto &[set, spec] : sets) {
+        const LintReport lint = lintSpecWithModel(*spec, set);
+        const LivenessReport live = analyzeLiveness(set);
+        std::uint64_t states = 0;
+        for (const LivenessConfigStats &c : live.configs)
+            states += c.states;
+        EXPECT_TRUE(lint.clean());
+        EXPECT_EQ(lint.mcConfigs, live.configs.size());
+        EXPECT_EQ(lint.mcStates, states);
+    }
+}
+
 TEST(Lint, CoverageFoldsObservedCounts)
 {
     const TransitionSpec &spec = protocolSpec();

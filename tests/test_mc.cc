@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/mc/explorer.hh"
 #include "src/mc/protocol_model.hh"
 #include "src/mc/schedule_explorer.hh"
 #include "src/system/presets.hh"
@@ -15,113 +14,88 @@ using namespace pcsim::mc;
 namespace
 {
 
-McResult
+/** Explore the protocol model; invariant violations throw, and a
+ *  correct model has no deadlocked state. */
+GraphExplorer<ProtocolModel>::Graph
 explore(ModelConfig cfg, std::uint64_t max_states = 5'000'000)
 {
     ProtocolModel model(cfg);
-    Explorer<ProtocolModel> ex(model, max_states);
-    return ex.run();
+    auto g = GraphExplorer<ProtocolModel>(model, max_states).run();
+    EXPECT_TRUE(g.deadlocks.empty());
+    return g;
 }
+
+/** A counter model: states 0..last, +1 transitions. Quiescent at
+ *  @p quiet (-1: never), invariant fails at @p bad (-1: never). */
+struct CounterModel
+{
+    using State = int;
+    int last = 4;
+    int quiet = 4;
+    int bad = -1;
+
+    State initial() const { return 0; }
+    void
+    transitions(const State &s, std::vector<State> &out) const
+    {
+        if (s < last)
+            out.push_back(s + 1);
+    }
+    void
+    checkInvariants(const State &s) const
+    {
+        if (s == bad)
+            throw McError("boom");
+    }
+    bool isQuiescent(const State &s) const { return s == quiet; }
+    std::string describe(const State &s) const { return std::to_string(s); }
+    std::uint64_t hash(const State &s) const { return s; }
+    bool equal(const State &a, const State &b) const { return a == b; }
+};
 
 } // namespace
 
-TEST(ExplorerEngine, TrivialModelTerminates)
+TEST(GraphExplorerEngine, TrivialModelTerminates)
 {
-    // A counter model: states 0..4, +1 transitions, quiescent at 4.
-    struct Counter
-    {
-        using State = int;
-        State initial() const { return 0; }
-        void
-        transitions(const State &s, std::vector<State> &out) const
-        {
-            if (s < 4)
-                out.push_back(s + 1);
-        }
-        void checkInvariants(const State &s) const
-        {
-            if (s > 4)
-                throw McError("overflow");
-        }
-        bool isQuiescent(const State &s) const { return s == 4; }
-        std::string describe(const State &s) const
-        {
-            return std::to_string(s);
-        }
-        std::uint64_t hash(const State &s) const { return s; }
-        bool equal(const State &a, const State &b) const
-        {
-            return a == b;
-        }
-    };
-    Counter m;
-    Explorer<Counter> ex(m);
-    McResult r = ex.run();
-    EXPECT_TRUE(r.completed);
-    EXPECT_EQ(r.statesExplored, 5u);
+    const CounterModel m;
+    const auto g = GraphExplorer<CounterModel>(m).run();
+    EXPECT_TRUE(g.completed);
+    EXPECT_EQ(g.states.size(), 5u);
+    EXPECT_EQ(g.transitionsTaken, 4u);
+    EXPECT_TRUE(g.deadlocks.empty());
+    EXPECT_EQ(g.parent[4], 3u);
 }
 
-TEST(ExplorerEngine, DetectsDeadlock)
+TEST(GraphExplorerEngine, RecordsDeadlock)
 {
     // State 1 is a non-quiescent sink.
-    struct Dead
-    {
-        using State = int;
-        State initial() const { return 0; }
-        void
-        transitions(const State &s, std::vector<State> &out) const
-        {
-            if (s == 0)
-                out.push_back(1);
-        }
-        void checkInvariants(const State &) const {}
-        bool isQuiescent(const State &) const { return false; }
-        std::string describe(const State &s) const
-        {
-            return std::to_string(s);
-        }
-        std::uint64_t hash(const State &s) const { return s; }
-        bool equal(const State &a, const State &b) const
-        {
-            return a == b;
-        }
-    };
-    Dead m;
-    Explorer<Dead> ex(m);
+    CounterModel m;
+    m.last = 1;
+    m.quiet = -1;
+    const auto g = GraphExplorer<CounterModel>(m).run();
+    EXPECT_TRUE(g.completed);
+    ASSERT_EQ(g.deadlocks.size(), 1u);
+    EXPECT_EQ(g.deadlocks[0], 1u);
+}
+
+TEST(GraphExplorerEngine, DetectsInvariantViolation)
+{
+    CounterModel m;
+    m.last = 3;
+    m.quiet = 3;
+    m.bad = 2;
+    GraphExplorer<CounterModel> ex(m);
     EXPECT_THROW(ex.run(), McError);
 }
 
-TEST(ExplorerEngine, DetectsInvariantViolation)
+TEST(GraphExplorerEngine, StateLimitLeavesRunIncomplete)
 {
-    struct Bad
-    {
-        using State = int;
-        State initial() const { return 0; }
-        void
-        transitions(const State &s, std::vector<State> &out) const
-        {
-            if (s < 3)
-                out.push_back(s + 1);
-        }
-        void checkInvariants(const State &s) const
-        {
-            if (s == 2)
-                throw McError("boom");
-        }
-        bool isQuiescent(const State &s) const { return s == 3; }
-        std::string describe(const State &s) const
-        {
-            return std::to_string(s);
-        }
-        std::uint64_t hash(const State &s) const { return s; }
-        bool equal(const State &a, const State &b) const
-        {
-            return a == b;
-        }
-    };
-    Bad m;
-    Explorer<Bad> ex(m);
-    EXPECT_THROW(ex.run(), McError);
+    CounterModel m;
+    m.last = 100;
+    m.quiet = 100;
+    const auto g = GraphExplorer<CounterModel>(m, 10).run();
+    EXPECT_FALSE(g.completed);
+    EXPECT_LT(g.states.size(), 101u);
 }
 
 // --- Abstract protocol model (the Murphi analogue) ------------------
@@ -132,9 +106,9 @@ TEST(ProtocolMc, BaseProtocolTwoNodes)
     cfg.nodes = 2;
     cfg.maxWrites = 2;
     cfg.maxReads = 2;
-    McResult r = explore(cfg);
-    EXPECT_TRUE(r.completed);
-    EXPECT_GT(r.statesExplored, 100u);
+    const auto g = explore(cfg);
+    EXPECT_TRUE(g.completed);
+    EXPECT_GT(g.states.size(), 100u);
 }
 
 TEST(ProtocolMc, BaseProtocolThreeNodes)
@@ -143,9 +117,9 @@ TEST(ProtocolMc, BaseProtocolThreeNodes)
     cfg.nodes = 3;
     cfg.maxWrites = 2;
     cfg.maxReads = 1;
-    McResult r = explore(cfg);
-    EXPECT_TRUE(r.completed);
-    EXPECT_GT(r.statesExplored, 1000u);
+    const auto g = explore(cfg);
+    EXPECT_TRUE(g.completed);
+    EXPECT_GT(g.states.size(), 1000u);
 }
 
 TEST(ProtocolMc, DelegationThreeNodes)
@@ -155,9 +129,9 @@ TEST(ProtocolMc, DelegationThreeNodes)
     cfg.maxWrites = 2;
     cfg.maxReads = 1;
     cfg.delegation = true;
-    McResult r = explore(cfg);
-    EXPECT_TRUE(r.completed);
-    EXPECT_GT(r.statesExplored, 1000u);
+    const auto g = explore(cfg);
+    EXPECT_TRUE(g.completed);
+    EXPECT_GT(g.states.size(), 1000u);
 }
 
 TEST(ProtocolMc, DelegationWithUpdatesTwoNodes)
@@ -168,9 +142,9 @@ TEST(ProtocolMc, DelegationWithUpdatesTwoNodes)
     cfg.maxReads = 2;
     cfg.delegation = true;
     cfg.updates = true;
-    McResult r = explore(cfg);
-    EXPECT_TRUE(r.completed);
-    EXPECT_GT(r.statesExplored, 1000u);
+    const auto g = explore(cfg);
+    EXPECT_TRUE(g.completed);
+    EXPECT_GT(g.states.size(), 1000u);
 }
 
 TEST(ProtocolMc, DelegationWithUpdatesThreeNodes)
@@ -181,9 +155,9 @@ TEST(ProtocolMc, DelegationWithUpdatesThreeNodes)
     cfg.maxReads = 1;
     cfg.delegation = true;
     cfg.updates = true;
-    McResult r = explore(cfg);
-    EXPECT_TRUE(r.completed);
-    EXPECT_GT(r.statesExplored, 10'000u);
+    const auto g = explore(cfg);
+    EXPECT_TRUE(g.completed);
+    EXPECT_GT(g.states.size(), 10'000u);
 }
 
 TEST(ProtocolMc, UpdatesWithMoreReadsBounded)
@@ -197,8 +171,7 @@ TEST(ProtocolMc, UpdatesWithMoreReadsBounded)
     cfg.maxReads = 2;
     cfg.delegation = true;
     cfg.updates = true;
-    McResult r = explore(cfg, 800'000);
-    EXPECT_GT(r.statesExplored, 100'000u);
+    EXPECT_GT(explore(cfg, 800'000).states.size(), 100'000u);
 }
 
 // --- Systematic interleaving over the real implementation -----------

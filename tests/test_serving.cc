@@ -171,7 +171,6 @@ TEST(Serving, AdaptiveProtocolEngagesOnProducerConsumerMembers)
 TEST(Serving, ServePresetBuildsFullMatrix)
 {
     const runner::SweepPreset &serve = *runner::findPreset("serve");
-    EXPECT_STREQ(serve.defaultJson, "BENCH_serve.json");
     runner::JobSet set;
     std::string err;
     ASSERT_TRUE(runner::buildGrid(serve, {}, set, err)) << err;

@@ -152,7 +152,6 @@ TEST(SweepPresets, RunCrossesWorkloadsConfigsAndSeeds)
 
     const SweepPreset &run = *findPreset("run");
     EXPECT_EQ(run.defaultThreads, 1u);
-    EXPECT_STREQ(run.defaultJson, "");
     JobSet out;
     std::string err;
     EXPECT_FALSE(buildGrid(run, {}, out, err));
@@ -202,7 +201,6 @@ TEST(SweepPresets, ScaleSweepsOneWorkloadOverNodeCounts)
         EXPECT_FALSE(j.cfg.proto.checkerEnabled);
     }
     const SweepPreset &scale = *findPreset("scale");
-    EXPECT_STREQ(scale.defaultJson, "BENCH_scale.json");
     EXPECT_EQ(scale.defaultThreads, 0u);
 
     SweepAxes axes;
@@ -259,8 +257,6 @@ TEST(SweepPresets, Figure7MatchesPaperGrid)
     const JobSet set = grid("fig7");
     ASSERT_EQ(set.size(), 42u);
     EXPECT_EQ(set.jobs()[0].label, "Barnes/Base");
-    EXPECT_STREQ(findPreset("fig7")->defaultJson,
-                 "pcsim-fig7.results.json");
 }
 
 TEST(SweepPresets, Figure8ComparesEqualAreaSystems)
