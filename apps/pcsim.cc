@@ -78,23 +78,16 @@ const CommandInfo commandTable[] = {
     {"help", "", "show this text"},
 };
 
-int
-usage(std::FILE *out)
+/** One option section of the help text and the commands it documents
+ *  (space-separated). */
+struct HelpSection
 {
-    std::fprintf(out,
-"pcsim - producer-consumer coherence protocol experiment runner\n"
-"\n"
-"usage: pcsim <command> [options]\n"
-"\n"
-"commands:\n");
-    for (const auto &c : commandTable) {
-        std::fprintf(out, "  %-13s %s\n", c.name, c.oneline);
-        if (c.synopsis[0])
-            std::fprintf(out, "  %-13s   pcsim %s %s\n", "", c.name,
-                         c.synopsis);
-    }
-    std::fprintf(out,
-"\n"
+    const char *commands;
+    const char *text;
+};
+
+const HelpSection helpSections[] = {
+    {"run sweep scale serve compare faults qos trace",
 "run selection:\n"
 "  --workload a,b         workload names, case-insensitive\n"
 "                         (micro is an alias for PCmicro)\n"
@@ -108,8 +101,8 @@ usage(std::FILE *out)
 "  --checker              enable the coherence invariant checker\n"
 "  --conformance          enable the protocol-spec conformance hook\n"
 "                         (fails the run on out-of-spec transitions\n"
-"                         and records transition coverage)\n"
-"\n"
+"                         and records transition coverage)\n"},
+    {"lint",
 "lint (static checks of the declarative protocol transition specs):\n"
 "  --no-mc                skip the model-checker cross-check\n"
 "                         (--no-mc, --csv and --coverage belong to the\n"
@@ -138,22 +131,22 @@ usage(std::FILE *out)
 "                         explorations: one per model config\n"
 "  --repro PATH           with --liveness: write the first witness's\n"
 "                         CPU-op schedule as a replayable PCTR trace\n"
-"  exit status: 0 clean, 1 usage/io error, 2 findings\n"
-"\n"
+"  exit status: 0 clean, 1 usage/io error, 2 findings\n"},
+    {"sweep",
 "sweep (paper figures and tables):\n"
 "  --figure N             7 main results, 8 equal area, 9 intervention\n"
 "                         delay, 10 hop latency, 11 delegate-cache size,\n"
 "                         12 RAC size\n"
-"  --table N              2 problem sizes (no simulation), 3 consumers\n"
-"\n"
+"  --table N              2 problem sizes (no simulation), 3 consumers\n"},
+    {"scale",
 "scale (node-count scaling sweep of base/delegation/delegate-update):\n"
 "  --nodes n,m            machine sizes (default: 16,32,64,128,256,\n"
 "                         512,1024; exact sharer vectors throughout,\n"
 "                         use --coarse with 'run' to study coarse\n"
 "                         directories at the top sizes)\n"
 "  --workload W           workload per point (default: Em3D)\n"
-"  --scale F              workload scale per point (default: 0.25)\n"
-"\n"
+"  --scale F              workload scale per point (default: 0.25)\n"},
+    {"faults",
 "faults (fault-injection robustness sweep; checker + conformance are\n"
 "always on, and exponential retry backoff is enabled):\n"
 "  --scenario a,b         fault scenarios (default: all): gray-links,\n"
@@ -161,25 +154,25 @@ usage(std::FILE *out)
 "  --workload W           workload per point (default: PCmicro)\n"
 "  --arbitration a,b      directory arbitration modes to cross with\n"
 "                         the scenarios (default: nack-retry):\n"
-"                         nack-retry, queue, aged-priority\n"
-"\n"
+"                         nack-retry, queue, aged-priority\n"},
+    {"qos",
 "qos (fairness bake-off; the faults sweep restricted to the\n"
 "contention scenarios and crossed with every arbitration mode):\n"
 "  --scenario a,b         scenarios (default: storm,hotspot)\n"
-"  --arbitration a,b      modes (default: all three)\n"
-"\n"
+"  --arbitration a,b      modes (default: all three)\n"},
+    {"serve",
 "serve (serving sweep of base/delegation/delegate-update):\n"
 "  --scenario a,b         scenarios (default: all): KVServe,\n"
 "                         WorkQueue, RCU, PubSub\n"
 "  --nodes n,m            machine sizes (default: 16,64; any value\n"
-"                         up to 4096 validates)\n"
-"\n"
+"                         up to 4096 validates)\n"},
+    {"compare",
 "compare (bake-off of every registered coherence policy: mesi-dir,\n"
 "delegation, delegation-updates, write-update, adaptive-hybrid):\n"
 "  --scenario a,b         scenarios (default: PCmicro,PubSub); any\n"
 "                         registry workload is accepted\n"
-"  --nodes n,m            machine sizes (default: 16,64)\n"
-"\n"
+"  --nodes n,m            machine sizes (default: 16,64)\n"},
+    {"trace",
 "trace (binary PCTR op traces; see src/trace/format.hh):\n"
 "  -o, --output FILE      (record) trace file to write (required)\n"
 "  --text                 (record) ingest per-core text trace files\n"
@@ -187,8 +180,8 @@ usage(std::FILE *out)
 "                         lines; 0 = load, 1 = store, 2 = compute\n"
 "                         cycles) instead of simulating\n"
 "  --config C             (replay) override the header's machine\n"
-"                         preset (ingested traces default to base)\n"
-"\n"
+"                         preset (ingested traces default to base)\n"},
+    {"run sweep scale serve compare faults qos trace lint",
 "common options:\n"
 "  -j N, --jobs N         worker threads; 0 = all cores\n"
 "                         (default: 1 for run, all cores for sweep)\n"
@@ -205,9 +198,67 @@ usage(std::FILE *out)
 "                         serialized results; exit 3 on mismatch\n"
 "  --no-table             skip the printed table\n"
 "  --quiet                suppress per-job progress on stderr\n"
+"  -h, --help             print the command's usage and exit\n"},
+};
+
+const char *const exitStatusHelp =
+"exit status: 0 ok, 1 usage error, 2 job failed, 3 non-deterministic\n";
+
+int
+usage(std::FILE *out)
+{
+    std::fprintf(out,
+"pcsim - producer-consumer coherence protocol experiment runner\n"
 "\n"
-"exit status: 0 ok, 1 usage error, 2 job failed, 3 non-deterministic\n");
+"usage: pcsim <command> [options]\n"
+"\n"
+"commands:\n");
+    for (const auto &c : commandTable) {
+        std::fprintf(out, "  %-13s %s\n", c.name, c.oneline);
+        if (c.synopsis[0])
+            std::fprintf(out, "  %-13s   pcsim %s %s\n", "", c.name,
+                         c.synopsis);
+    }
+    for (const HelpSection &sec : helpSections)
+        std::fprintf(out, "\n%s", sec.text);
+    std::fprintf(out, "\n%s", exitStatusHelp);
     return out == stderr ? 1 : 0;
+}
+
+/** Does the space-separated @p list name @p word? */
+bool
+listNames(const char *list, const std::string &word)
+{
+    const std::string padded = std::string(" ") + list + " ";
+    return padded.find(" " + word + " ") != std::string::npos;
+}
+
+/**
+ * `pcsim <command> --help`: the command's synopsis and the option
+ * sections that apply to it, on stdout. False, printing nothing, for
+ * an unknown command.
+ */
+bool
+commandUsage(const std::string &cmd)
+{
+    bool known = false;
+    for (const auto &c : commandTable) {
+        const std::string name = c.name;
+        if (name != cmd && name.rfind(cmd + " ", 0) != 0)
+            continue;
+        std::printf("usage: pcsim %s%s%s\n  %s\n", c.name,
+                    c.synopsis[0] ? " " : "", c.synopsis, c.oneline);
+        known = true;
+    }
+    if (!known)
+        return false;
+    for (const HelpSection &sec : helpSections)
+        if (listNames(sec.commands, cmd))
+            std::printf("\n%s", sec.text);
+    // The lint section states its own exit codes; list has none.
+    if (cmd != "lint" && cmd != "list")
+        std::printf("\n%s", exitStatusHelp);
+    return true;
 }
 
 std::vector<std::string>
@@ -242,6 +293,7 @@ struct Options
     runner::SweepOptions out;
     bool threadsSet = false;
     bool quiet = false;
+    bool help = false;     ///< --help / -h: print the command's usage
     unsigned figure = 0;   ///< sweep --figure N
     unsigned tableNum = 0; ///< sweep --table N
 
@@ -305,6 +357,12 @@ parseNumberList(const std::string &flag, const char *text,
         return false;
     }
     return true;
+}
+
+bool
+isHelpFlag(const std::string &arg)
+{
+    return arg == "--help" || arg == "-h";
 }
 
 constexpr std::uint64_t maxThreads = 1024;
@@ -461,6 +519,8 @@ parseArgs(int argc, char **argv, Options &opt, int first = 2)
             opt.out.table = false;
         } else if (arg == "--quiet" || arg == "-q") {
             opt.quiet = true;
+        } else if (isHelpFlag(arg)) {
+            opt.help = true;
         } else if (arg.size() && arg[0] != '-' &&
                    opt.command == "trace") {
             opt.positional.push_back(argv[i]);
@@ -891,8 +951,12 @@ main(int argc, char **argv)
     if (argc < 2)
         return usage(stderr);
     const std::string cmd = argv[1];
-    if (cmd == "help" || cmd == "--help" || cmd == "-h")
+    if (cmd == "help" || isHelpFlag(cmd))
         return usage(stdout);
+    // `pcsim <command> --help`; trace's first operand is its action.
+    if ((cmd == "list" || cmd == "trace") && argc > 2 &&
+        isHelpFlag(argv[2]) && commandUsage(cmd))
+        return 0;
     if (cmd == "list")
         return listCommand();
 
@@ -912,6 +976,8 @@ main(int argc, char **argv)
     } else if (!parseArgs(argc, argv, opt)) {
         return 1;
     }
+    if (opt.help && commandUsage(cmd))
+        return 0;
 
     if (cmd == "trace") {
         if (traceAction == "record") {

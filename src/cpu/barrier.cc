@@ -12,25 +12,17 @@ namespace
 {
 
 /**
- * Did a chain event at tick @p now, scheduled at @p insert_tick (< now)
- * by a normal-phase inserter, run before @p waker? Sets @p tie when
- * nothing orders the two; the chain event then counts as first.
+ * Did a chain event scheduled at @p insert_tick (before the wake tick)
+ * by a normal inserter run before @p waker, at the waker's tick? Sets
+ * @p tie when nothing orders the two; the chain event then counts as
+ * first.
  */
 bool
-ranFirst(Tick now, Tick insert_tick, const EventOrder &waker, bool &tie)
+ranFirst(Tick insert_tick, const EventOrder &waker, bool &tie)
 {
-    if (waker.phase0) {
-        // An early phase-0 event runs ahead of every normal event of
-        // its tick; a same-tick one runs right after its (unknown)
-        // inserter.
-        if (waker.insertTick < now)
-            return false;
-        tie = true;
-        return true;
-    }
     if (insert_tick != waker.insertTick)
         return insert_tick < waker.insertTick;
-    if (waker.inserterPhase0)
+    if (waker.early)
         return false;
     tie = true;
     return true;
@@ -53,11 +45,11 @@ spinWakePrefix(const SpinChain &c, Tick now, const EventOrder &waker)
     p.completions = k - 1;
     if (phase == 0) {
         // L_k is at now, scheduled by D_{k-1}.
-        if (!ranFirst(now, now - c.spinDelay, waker, p.tie))
+        if (!ranFirst(now - c.spinDelay, waker, p.tie))
             p.polls = k - 1;
     } else if (phase > c.hitLatency ||
                (phase == c.hitLatency &&
-                ranFirst(now, now - c.hitLatency, waker, p.tie))) {
+                ranFirst(now - c.hitLatency, waker, p.tie))) {
         // D_k is before now, or at now and scheduled by L_k first.
         p.completions = k;
     }
@@ -67,10 +59,8 @@ spinWakePrefix(const SpinChain &c, Tick now, const EventOrder &waker)
 SpinPrefix
 spinPrefixBefore(const SpinChain &c, Tick tick)
 {
-    if (tick == 0)
-        return SpinPrefix{};
-    // An early phase-0 waker at @p tick precedes all of that tick.
-    return spinWakePrefix(c, tick, EventOrder{tick - 1, false, true});
+    // A waker in the first position of @p tick precedes all of it.
+    return spinWakePrefix(c, tick, EventOrder{0, true});
 }
 
 BarrierDriver::BarrierDriver(EventQueue &eq, std::vector<Hub *> hubs,
@@ -188,11 +178,12 @@ BarrierDriver::wake(unsigned cpu)
     // queue position its virtual inserter gave it.
     if (ran.completions == ran.polls) {
         const Tick at = s.chain.pollTick(ran.polls + 1);
-        eq.scheduleAs(at, at - _spinDelay, [this, cpu]() { poll(cpu); });
+        eq.schedule(at, EventOrder{at - _spinDelay, false},
+                    [this, cpu]() { poll(cpu); });
     } else {
         const Tick at = s.chain.pollTick(ran.polls);
-        eq.scheduleAs(at + s.chain.hitLatency, at,
-                      [this, cpu, v = s.stale]() { polled(cpu, v); });
+        eq.schedule(at + s.chain.hitLatency, EventOrder{at, false},
+                    [this, cpu, v = s.stale]() { polled(cpu, v); });
     }
 }
 

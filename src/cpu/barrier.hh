@@ -46,7 +46,7 @@ class Hub;
  * The virtual event chain of a parked spinner: poll L_k at
  * firstPoll + (k-1)(spinDelay + hitLatency) and its completion D_k at
  * L_k + hitLatency, k >= 1. L_k is scheduled by D_{k-1} and D_k by
- * L_k, all as normal-phase events.
+ * L_k, all as normal events.
  */
 struct SpinChain
 {
@@ -69,20 +69,20 @@ struct SpinPrefix
     /** Virtual completions D_1..D_completions that ran (polls or
      *  polls - 1). */
     std::uint64_t completions = 0;
-    /** A chain event shared the waker's tick and insertion tick with
-     *  no phase to order them; it was counted as having run first. */
+    /** A chain event shared the waker's tick and position with
+     *  nothing to order them; it was counted as having run first. */
     bool tie = false;
 };
 
 /**
  * The prefix of chain @p c that ran before the event @p waker running
  * at tick @p now. Events before @p now ran; a chain event at @p now
- * ran first iff it was scheduled at an earlier tick than the waker,
- * or at the same tick by an inserter that ran first -- which is the
- * case unless the waker's inserter was an early phase-0 event. An
- * early phase-0 waker runs ahead of every chain event of its tick.
- * Requires spinDelay >= 1 and hitLatency >= 1 (no chain event shares
- * its tick with its inserter).
+ * ran first iff its position (a normal event inserted at its
+ * inserter's tick) comes before the waker's: it was inserted at an
+ * earlier tick, or at the same tick by an inserter that ran first --
+ * which is the case unless the waker is early (every remote delivery
+ * is). Requires spinDelay >= 1 and hitLatency >= 1 (no chain event
+ * shares its tick with its inserter).
  */
 SpinPrefix spinWakePrefix(const SpinChain &c, Tick now,
                           const EventOrder &waker);

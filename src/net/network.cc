@@ -1,7 +1,6 @@
 #include "src/net/network.hh"
 
 #include <algorithm>
-#include <functional>
 
 #include "src/net/faults.hh"
 #include "src/sim/kernel.hh"
@@ -18,13 +17,12 @@ Network::Network(EventQueue &eq, unsigned num_nodes, NetworkConfig cfg)
       _nodeQueue(num_nodes, &eq),
       _shardOf(num_nodes, 0),
       _egressFree(num_nodes, 0),
-      _ingressFree(num_nodes, 0),
       _srcSeq(num_nodes, 0),
-      _arrivals(num_nodes),
-      _drainArmed(num_nodes),
+      _ingress(num_nodes),
       _banks(1)
 {
     _pools.emplace_back(std::make_unique<Pool<Message>>());
+    _routePools.emplace_back(std::make_unique<Pool<Route>>());
 }
 
 void
@@ -38,8 +36,10 @@ Network::attachKernel(SimKernel &kernel)
     }
     _channels.assign(std::size_t(shards) * shards, {});
     _banks.resize(shards);
-    while (_pools.size() < shards)
+    while (_pools.size() < shards) {
         _pools.emplace_back(std::make_unique<Pool<Message>>());
+        _routePools.emplace_back(std::make_unique<Pool<Route>>());
+    }
     kernel.setFlushHook(
         [this](unsigned dst_shard) { flushShard(dst_shard); });
 }
@@ -134,7 +134,7 @@ Network::sendAcquired(Message *pm)
     // NI serialization alone keeps per-(src,dst) arrivals monotone;
     // fault-injected extra latency can reorder them, so clamp the
     // arrival tick to preserve point-to-point FIFO (ties then break
-    // by per-source sequence in the arrival heap).
+    // by per-source sequence in the arrival list).
     if (_fifoClamp) {
         Tick &last = _lastArrive[src][dst];
         if (arrive < last)
@@ -148,75 +148,104 @@ Network::sendAcquired(Message *pm)
     ++bank.perType[static_cast<std::size_t>(msg.type)];
     bank.hopHist.sample(hops);
 
-    const RouteEntry e{arrive, occupancy, fault_delay, seq, src, pm};
+    Route *r = _routePools[_shardOf[src]]->acquire();
+    *r = Route{nullptr, pm, arrive, occupancy, fault_delay, 0, seq, src,
+               dst};
     const unsigned dst_shard = _shardOf[dst];
     if (dst_shard == _shardOf[src]) {
-        insertArrival(e);
+        insertArrival(r);
     } else {
         ++bank.crossShard;
         _channels[std::size_t(_shardOf[src]) * _numShards + dst_shard]
-            .push_back(e);
+            .push_back(r);
     }
 }
 
 void
-Network::insertArrival(const RouteEntry &e)
+Network::insertArrival(Route *r)
 {
-    const NodeId dst = e.pm->dst;
-    _arrivals[dst].push(e);
-    // One phase-0 drain per distinct (node, arrival tick): the event
-    // count is a function of content, never of insertion order.
-    std::vector<Tick> &armed = _drainArmed[dst];
-    const auto it = std::lower_bound(armed.begin(), armed.end(),
-                                     e.arrive, std::greater<Tick>());
-    if (it != armed.end() && *it == e.arrive)
-        return;
-    armed.insert(it, e.arrive);
-    _nodeQueue[dst]->schedulePhase0(
-        e.arrive, [this, dst]() { drainArrivals(dst); });
+    const NodeId dst = r->dst;
+    // Arrivals mostly come in content order; an earlier one walks.
+    Ingress &in = _ingress[dst];
+    r->next = nullptr;
+    if (!in.head) {
+        in.head = in.tail = r;
+    } else if (arrivesBefore(in.tail, r)) {
+        in.tail->next = r;
+        in.tail = r;
+    } else {
+        Route **at = &in.head;
+        while (arrivesBefore(*at, r))
+            at = &(*at)->next;
+        r->next = *at;
+        *at = r;
+    }
+    // One event per delivery, due when an idle port would eject it and
+    // placed where a booking at the arrival tick would have put it.
+    _nodeQueue[dst]->schedule(r->arrive + r->occupancy,
+                              EventOrder{r->arrive, true},
+                              [this, r]() { deliverArrival(r); });
 }
 
 void
-Network::drainArrivals(NodeId dst)
+Network::deliverArrival(Route *r)
 {
+    const NodeId dst = r->dst;
+    if (!r->deliver)
+        bookEjection(dst, r);
     EventQueue &q = *_nodeQueue[dst];
-    const Tick now = q.curTick();
-    std::vector<Tick> &armed = _drainArmed[dst];
-    if (armed.empty() || armed.back() != now)
-        panic("drain at node %u, tick %llu: not the earliest armed tick",
-              dst, (unsigned long long)now);
-    armed.pop_back();
-    ArrivalHeap &heap = _arrivals[dst];
-    MessageHandler *handler = _handlers[dst];
-    while (!heap.empty() && heap.top().arrive == now) {
-        const RouteEntry e = heap.top();
-        heap.pop();
+    if (r->deliver > q.curTick()) {
+        q.rearm(r->deliver);
+        return;
+    }
+    // Delivery runs on the destination's shard: its pools are the
+    // caller's.
+    Message *pm = r->pm;
+    const unsigned shard = _shardOf[dst];
+    _routePools[shard]->release(r);
+    _handlers[dst]->handleMessage(*pm);
+    _pools[shard]->release(pm);
+}
+
+void
+Network::bookEjection(NodeId dst, const Route *upto)
+{
+    Ingress &in = _ingress[dst];
+    Route *r;
+    do {
+        r = in.head;
+        if (!r)
+            panic("node %u: delivery of %u:%llu is not pending", dst,
+                  upto->src, (unsigned long long)upto->seq);
+        in.head = r->next;
+        if (!in.head)
+            in.tail = nullptr;
+        if (r->arrive != in.lastBooked) {
+            // The event totals count one drain per distinct (node,
+            // arrival tick); see RunPerf::drainsFolded.
+            in.lastBooked = r->arrive;
+            _nodeQueue[dst]->creditFolded(1);
+        }
 
         // Serialize ejection at the destination NI (also stallable)
         // in (arrive, src, seq) order -- the content order, however
         // the sends interleaved.
-        Tick eject = std::max(e.arrive, _ingressFree[dst]);
-        Tick fault_delay = e.faultDelay;
+        Tick eject = std::max(r->arrive, in.free);
+        Tick fault_delay = r->faultDelay;
         if (_faults) {
             const Tick clear = _faults->stallClearTick(dst, eject);
             fault_delay += clear - eject;
             eject = clear;
         }
-        _ingressFree[dst] = eject + e.occupancy;
-        const Tick deliver = eject + e.occupancy;
+        r->deliver = eject + r->occupancy;
+        in.free = r->deliver;
 
-        if (fault_delay) {
+        if (fault_delay && r->arrive >= _statsFrom) {
             Bank &bank = _banks[_shardOf[dst]];
             ++bank.faultDelayed;
             bank.faultExtraTicks += fault_delay;
         }
-
-        Message *pm = e.pm;
-        q.schedule(deliver, [this, handler, pm]() {
-            handler->handleMessage(*pm);
-            releaseMessage(pm);
-        });
-    }
+    } while (r != upto);
 }
 
 void
@@ -225,8 +254,8 @@ Network::flushShard(unsigned dst_shard)
     for (unsigned src_shard = 0; src_shard < _numShards; ++src_shard) {
         auto &ch =
             _channels[std::size_t(src_shard) * _numShards + dst_shard];
-        for (const RouteEntry &e : ch)
-            insertArrival(e);
+        for (Route *r : ch)
+            insertArrival(r);
         ch.clear();
     }
 }
@@ -331,10 +360,11 @@ Network::Bank::reset()
 }
 
 void
-Network::resetStats()
+Network::resetStats(Tick boundary)
 {
     for (Bank &b : _banks)
         b.reset();
+    _statsFrom = boundary;
 }
 
 } // namespace pcsim

@@ -16,15 +16,22 @@
  *
  * Timing model (identical under the sequential and parallel kernels):
  * injection is booked at the source NI when the message is sent, on
- * the sender's shard thread; the in-flight message then rides a
- * per-destination-node arrival heap ordered by (arrive, src, seq),
- * and ejection is booked when the destination's phase-0 "drain" event
- * runs at the arrival tick. Ejection booking therefore depends only
- * on the *content-ordered* arrival sequence at that node -- never on
- * the global order sends happened to execute in -- which is what
- * makes the parallel kernel byte-identical to the sequential oracle.
- * Cross-shard sends park in per-(src-shard, dst-shard) channels that
- * the destination worker flushes into its heaps at window barriers.
+ * the sender's shard thread. The in-flight message then joins its
+ * destination's arrival set, ordered by (arrive, src, seq), and one
+ * delivery event is queued for the earliest tick it could eject
+ * (arrive + occupancy), in the position a booking at the arrival tick
+ * would give it (EventOrder{arrive, early}). Ejection is booked
+ * lazily, when that event runs: it books every pending arrival at the
+ * node up to and including its own, in (arrive, src, seq) order --
+ * all of them are final by then, since any later send arrives after
+ * the current tick. A message whose booked tick is later (the port
+ * was busy or stalled) re-arms its event once, at that tick.
+ * Ejection booking therefore depends only on the *content-ordered*
+ * arrival sequence at that node -- never on the global order sends
+ * happened to execute in -- which is what makes the parallel kernel
+ * byte-identical to the sequential oracle. Cross-shard sends park in
+ * per-(src-shard, dst-shard) channels that the destination worker
+ * flushes into its arrival sets at window barriers.
  */
 
 #ifndef PCSIM_NET_NETWORK_HH
@@ -32,7 +39,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <queue>
 #include <unordered_map>
 #include <vector>
 
@@ -153,46 +159,54 @@ class Network : public SimObject
     std::uint64_t crossShardMessages() const;
     /// @}
 
-    void resetStats();
+    /**
+     * Zero the traffic counters at stats boundary @p boundary (all
+     * events before it have run, none at or after it). Ejection-side
+     * counters from then on count only arrivals at or after
+     * @p boundary, the ones a booking at the arrival tick would have
+     * counted after the reset.
+     */
+    void resetStats(Tick boundary);
 
-    /** Drain every (src shard -> @p dst_shard) channel into the
-     *  destination nodes' arrival heaps; runs on @p dst_shard's
-     *  worker at a window barrier (the kernel's flush hook). */
+    /** Move every (src shard -> @p dst_shard) channel into the
+     *  destination nodes' arrival sets; runs on @p dst_shard's worker
+     *  at a window barrier (the kernel's flush hook). */
     void flushShard(unsigned dst_shard);
 
   private:
-    /** One remote message in flight between injection and ejection. */
-    struct RouteEntry
+    /** One remote message in flight between injection and delivery.
+     *  Its delivery event points at it, and the destination's arrival
+     *  list holds it until ejection is booked. */
+    struct Route
     {
+        /** Next arrival at the same node, in (arrive, src, seq)
+         *  order. */
+        Route *next;
+        Message *pm;
         Tick arrive;
         Tick occupancy;
         /** Source-side fault delay (stall + gray-link), carried so
          *  the whole message counts once, at ejection. */
         Tick faultDelay;
+        /** Booked delivery tick; 0 until ejection is booked. */
+        Tick deliver;
         /** Per-source sequence; with the source id it breaks
          *  same-tick arrival ties deterministically. */
         std::uint64_t seq;
         NodeId src;
-        Message *pm;
+        NodeId dst;
     };
 
-    /** Min-heap order on (arrive, src, seq). */
-    struct RouteLater
+    /** (arrive, src, seq) order: the content order of arrivals. */
+    static bool
+    arrivesBefore(const Route *a, const Route *b)
     {
-        bool
-        operator()(const RouteEntry &a, const RouteEntry &b) const
-        {
-            if (a.arrive != b.arrive)
-                return a.arrive > b.arrive;
-            if (a.src != b.src)
-                return a.src > b.src;
-            return a.seq > b.seq;
-        }
-    };
-
-    using ArrivalHeap =
-        std::priority_queue<RouteEntry, std::vector<RouteEntry>,
-                            RouteLater>;
+        if (a->arrive != b->arrive)
+            return a->arrive < b->arrive;
+        if (a->src != b->src)
+            return a->src < b->src;
+        return a->seq < b->seq;
+    }
 
     /** Per-shard statistics bank. */
     struct Bank
@@ -217,8 +231,12 @@ class Network : public SimObject
 
     unsigned callerShard() const;
     EventQueue &queueOf(NodeId node) { return *_nodeQueue[node]; }
-    void insertArrival(const RouteEntry &e);
-    void drainArrivals(NodeId dst);
+    void insertArrival(Route *r);
+    /** The delivery event of @p r: book, then deliver or re-arm. */
+    void deliverArrival(Route *r);
+    /** Book ejection at @p dst for every pending arrival up to and
+     *  including @p upto, in (arrive, src, seq) order. */
+    void bookEjection(NodeId dst, const Route *upto);
 
     NetworkConfig _cfg;
     FatTreeTopology _topo;
@@ -230,26 +248,33 @@ class Network : public SimObject
     std::vector<unsigned> _shardOf;
     unsigned _numShards = 1;
 
-    /** Per-node NI next-free times (egress = injection, ingress =
-     *  ejection); each entry is only touched by its node's shard. */
+    /** Per-node NI injection next-free times; each entry is only
+     *  touched by its node's shard. */
     std::vector<Tick> _egressFree;
-    std::vector<Tick> _ingressFree;
 
     /** Per-source message sequence numbers (ids are (src, seq) so
      *  numbering never depends on the global send interleaving). */
     std::vector<std::uint64_t> _srcSeq;
 
-    /** Per-destination-node in-flight arrivals, and the distinct
-     *  ticks with an armed phase-0 drain event, sorted descending:
-     *  a node's drains run in tick order, so each retires the
-     *  smallest armed tick with a pop_back. */
-    std::vector<ArrivalHeap> _arrivals;
-    std::vector<std::vector<Tick>> _drainArmed;
+    /** A node's ejection side, only touched by its node's shard. */
+    struct Ingress
+    {
+        /** NI ejection next-free time. */
+        Tick free = 0;
+        /** Arrival tick booked last. Booking runs in arrival order,
+         *  so a new tick is one drain event the unfolded model would
+         *  have run. */
+        Tick lastBooked = 0;
+        /** Arrivals not yet booked, in (arrive, src, seq) order. */
+        Route *head = nullptr;
+        Route *tail = nullptr;
+    };
+    std::vector<Ingress> _ingress;
 
     /** Cross-shard channels, indexed src_shard * S + dst_shard; the
      *  source worker appends during a window, the destination worker
-     *  drains at the next barrier (never concurrently). */
-    std::vector<std::vector<RouteEntry>> _channels;
+     *  empties it at the next barrier (never concurrently). */
+    std::vector<std::vector<Route *>> _channels;
 
     /** Per-(src,dst) last arrival tick, maintained only when the
      *  fault plan can inject extra link latency (the one mechanism
@@ -259,11 +284,16 @@ class Network : public SimObject
     bool _fifoClamp = false;
 
     std::vector<Bank> _banks;
+    /** Ejection-side counters skip arrivals before this tick (the
+     *  last resetStats() boundary). */
+    Tick _statsFrom = 0;
 
     const FaultPlan *_faults = nullptr;
 
-    /** Recycled storage for in-flight messages, one pool per shard. */
+    /** Recycled storage for in-flight messages and their routes, one
+     *  pool each per shard. */
     std::vector<std::unique_ptr<Pool<Message>>> _pools;
+    std::vector<std::unique_ptr<Pool<Route>>> _routePools;
 };
 
 } // namespace pcsim

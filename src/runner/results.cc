@@ -63,14 +63,16 @@ namespace runner
     X(windowAdvances)                                                     \
     X(poolReuses)
 
-/** Barrier spin-elision counters: content-determined, but kept out
- *  of default documents (serialized with_timing only) so those stay
- *  byte-identical to pre-elision ones. */
+/** Barrier spin-elision and folded-drain counters: content-
+ *  determined, but kept out of default documents (serialized
+ *  with_timing only) so those stay byte-identical to earlier ones. */
 #define PCSIM_RUN_PERF_ELISION_FIELDS(X)                                  \
     X(eventsElided)                                                       \
     X(spinPollsElided)                                                    \
     X(spinParks)                                                          \
-    X(spinWakeTies)
+    X(spinWakeTies)                                                       \
+    X(drainsFolded)                                                       \
+    X(deliveryRearms)
 
 /** All scalar counters in the historic (schemaVersion 2) order; the
  *  CSV keeps this column layout. */

@@ -28,6 +28,7 @@
  *           "windowAdvances": N, "poolReuses": N,
  *           "eventsElided": N, "spinPollsElided": N,
  *           "spinParks": N, "spinWakeTies": N,
+ *           "drainsFolded": N, "deliveryRearms": N,
  *           "shards": N, "shardEvents": [N, ...],
  *           "kernelWindows": N, "kernelBarriers": N,
  *           "crossShardMessages": N,

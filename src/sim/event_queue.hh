@@ -2,19 +2,24 @@
  * @file
  * Discrete event simulation kernel.
  *
- * The EventQueue executes callbacks in (tick, sequence) order:
- * sequence numbers break same-tick ties in schedule order, so a
- * simulation run is fully reproducible for a given seed.
+ * The EventQueue executes callbacks in (tick, position, sequence)
+ * order. An event's position is where its inserter put it among the
+ * events of its tick (EventOrder: the insert tick, then "early" ahead
+ * of "normal"); sequence numbers break the remaining ties in schedule
+ * order, so a simulation run is fully reproducible for a given seed.
  *
  * Internals (see DESIGN.md, "Simulation kernel internals"): the queue
  * is a two-level calendar. Events within a 4096-tick window of the
- * current one land in per-tick FIFO lists of pooled event nodes
- * (append = schedule order, so same-tick FIFO is structural); rarer
- * far-future events wait in a (tick, seq)-ordered binary heap and
- * migrate into the lists when their window becomes current. A
- * callback is constructed in place inside a recycled node and never
- * moves afterwards, so the common scheduleIn(delta, lambda) path
- * performs zero heap allocations and reuses cache-warm storage.
+ * current one land in per-tick lists of pooled event nodes, sorted by
+ * position and FIFO within a position. Most inserts append; only an
+ * event positioned ahead of the list's tail (a resumed spin event, or
+ * one queued before a remote delivery's future arrival tick) walks
+ * the list. Rarer far-future events wait in a (tick, position,
+ * seq)-ordered binary heap and migrate into the lists when their
+ * window becomes current. A callback is constructed in place inside a
+ * recycled node and never moves afterwards, so the common
+ * scheduleIn(delta, lambda) path performs zero heap allocations and
+ * reuses cache-warm storage.
  */
 
 #ifndef PCSIM_SIM_EVENT_QUEUE_HH
@@ -53,33 +58,51 @@ struct EventQueueStats
     /** Events a component skipped and credited with creditElided();
      *  already included in executed / scheduled / inlineCallbacks. */
     std::uint64_t elided = 0;
+    /** Events a component folded into another one and credited with
+     *  creditFolded(); already included in executed / scheduled /
+     *  inlineCallbacks. */
+    std::uint64_t folded = 0;
+    /** Times a running event re-armed itself (rearm()); not counted
+     *  in executed / scheduled. */
+    std::uint64_t rearms = 0;
 };
 
 /**
- * Where an event sits among the events of its tick. Normal events of
- * one tick run in schedule order, and schedule order is the order
- * their inserters ran in, so an event's position is fixed by the tick
- * it was scheduled at and by whether its inserter ran ahead of every
- * normal event of that tick (an "early" phase-0 event: one queued
- * before its own tick, like the network's arrival drains).
+ * Where an event sits among the events of its tick. Events of one tick
+ * run in order of insert tick; at equal insert ticks, early events run
+ * ahead of normal ones, and each group keeps schedule order. A plain
+ * schedule is a normal event inserted at the current tick; an early
+ * one stands for an event queued by something that ran before every
+ * normal event of its insert tick (the network's remote deliveries,
+ * positioned as if booked when their message arrived).
  */
 struct EventOrder
 {
-    /** Tick the event was scheduled at. */
+    /** Tick the event counts as scheduled at. */
     Tick insertTick = 0;
-    /** Its inserter was an early phase-0 event. */
-    bool inserterPhase0 = false;
-    /** The event itself runs from the phase-0 list (only meaningful
-     *  for the running event, see EventQueue::runningOrder()). */
-    bool phase0 = false;
+    /** Ahead of the normal events inserted at the same tick. */
+    bool early = false;
+
+    /** The sort key: insert tick, then early before normal. */
+    std::uint64_t
+    key() const
+    {
+        return (insertTick << 1) | (early ? 0 : 1);
+    }
+
+    static EventOrder
+    fromKey(std::uint64_t key)
+    {
+        return EventOrder{key >> 1, (key & 1) == 0};
+    }
 };
 
 /**
  * The central simulation event queue.
  *
  * Components schedule closures at absolute or relative ticks; run()
- * drains the queue in (tick, sequence) order until it is empty, a
- * stop condition triggers, or a tick limit is reached.
+ * drains the queue in (tick, position, sequence) order until it is
+ * empty, a stop condition triggers, or a tick limit is reached.
  */
 class EventQueue
 {
@@ -98,26 +121,43 @@ class EventQueue
     Tick curTick() const { return _curTick; }
 
     /** Schedule callable @p f at absolute tick @p when (must be
-     *  >= curTick). */
+     *  >= curTick) as a normal event inserted now: after every event
+     *  queued for that tick so far, except remote deliveries whose
+     *  arrival tick is still ahead. */
     template <typename F>
     void
     schedule(Tick when, F &&f)
     {
-        scheduleImpl(when, std::forward<F>(f), false);
+        if (when < _curTick)
+            panic("scheduling event in the past (%llu < %llu)",
+                  (unsigned long long)when, (unsigned long long)_curTick);
+        scheduleKeyed(when, (_curTick << 1) | 1, std::forward<F>(f));
     }
 
     /**
-     * Schedule @p f at tick @p when, ahead of every normal event at
-     * that tick. Phase-0 events model "the tick begins" work (the
-     * network's arrival drains) whose results must be visible to all
-     * same-tick protocol events regardless of schedule order; within
-     * the phase they keep FIFO schedule order like normal events.
+     * Schedule @p f at tick @p when in position @p pos: after every
+     * event of that tick whose position is at or before @p pos, ahead
+     * of those after it. The insert tick may lie in the past (the
+     * barrier resumes an elided spin chain where its virtual inserter
+     * put it) or in the future (a remote delivery is queued at send
+     * time where the arrival would have put it), but not after
+     * @p when, and an event for the current tick may not go ahead of
+     * the running one.
      */
     template <typename F>
     void
-    schedulePhase0(Tick when, F &&f)
+    schedule(Tick when, const EventOrder &pos, F &&f)
     {
-        scheduleImpl(when, std::forward<F>(f), true);
+        const std::uint64_t key = pos.key();
+        if (when < _curTick || pos.insertTick > when ||
+            (when == _curTick && key < _runningOrder))
+            panic("schedule: event at %llu in position %llu%s from "
+                  "tick %llu",
+                  (unsigned long long)when,
+                  (unsigned long long)pos.insertTick,
+                  pos.early ? " (early)" : "",
+                  (unsigned long long)_curTick);
+        scheduleKeyed(when, key, std::forward<F>(f));
     }
 
     /** Schedule callable @p f @p delta ticks from now. */
@@ -129,42 +169,28 @@ class EventQueue
     }
 
     /**
-     * Schedule normal-phase @p f at tick @p when in the position it
-     * would hold had a normal event scheduled it at the earlier tick
-     * @p insert_tick: after every event of that tick scheduled at or
-     * before @p insert_tick, ahead of those scheduled later. Used to
-     * materialize an elided event chain exactly (src/cpu/barrier.hh).
+     * From inside a running event: once its callback returns, queue
+     * the same event again at @p when (> curTick), in its own position,
+     * instead of retiring it. It stays one event: neither the re-arm
+     * nor the second run counts as scheduled or executed, and the
+     * callable is not rebuilt. @c rearms counts these.
      */
-    template <typename F>
     void
-    scheduleAs(Tick when, Tick insert_tick, F &&f)
+    rearm(Tick when)
     {
-        if (when < _curTick || insert_tick > _curTick)
-            panic("scheduleAs: event at %llu inserted at %llu from "
-                  "tick %llu",
+        if (when <= _curTick)
+            panic("rearm at %llu from tick %llu",
                   (unsigned long long)when,
-                  (unsigned long long)insert_tick,
                   (unsigned long long)_curTick);
-        EventNode *n = allocNode();
-        emplace(n, std::forward<F>(f));
-        n->order = insert_tick << 1;
-        ++_stats.scheduled;
-        if ((when >> kLogBuckets) == _curWindow) {
-            insertSorted(static_cast<std::size_t>(when & kSlotMask), n);
-            ++_ringCount;
-        } else {
-            pushOverflow(when, n, false);
-        }
-        notePending();
+        _rearmAt = when;
     }
 
-    /** Order key of the event being executed (the last one, between
+    /** Position of the event being executed (the last one, between
      *  events). */
     EventOrder
     runningOrder() const
     {
-        return EventOrder{_runningOrder >> 1, (_runningOrder & 1) != 0,
-                          _runningPhase0};
+        return EventOrder::fromKey(_runningOrder);
     }
 
     /**
@@ -177,10 +203,22 @@ class EventQueue
     void
     creditElided(std::uint64_t n)
     {
-        _stats.executed += n;
-        _stats.scheduled += n;
-        _stats.inlineCallbacks += n;
+        credit(n);
         _stats.elided += n;
+    }
+
+    /**
+     * Account for @p n events a component no longer schedules because
+     * their work now rides in another event (the network's arrival
+     * drains, folded into its deliveries). Each counts as one executed
+     * event with an inline callback, like creditElided(); @c folded
+     * keeps the count apart.
+     */
+    void
+    creditFolded(std::uint64_t n)
+    {
+        credit(n);
+        _stats.folded += n;
     }
 
     /** Number of events not yet executed. */
@@ -214,7 +252,7 @@ class EventQueue
      *
      * @param limit stop (without executing further events) once the
      *              next event's tick exceeds this value.
-     * @return number of events executed.
+     * @return number of events executed (a re-armed run not counted).
      */
     std::uint64_t
     run(Tick limit = maxTick)
@@ -225,8 +263,7 @@ class EventQueue
         while (!_stopRequested && findNextTick(when)) {
             if (when > limit)
                 break;
-            executeOne(when);
-            ++executed;
+            executed += executeOne(when);
         }
         return executed;
     }
@@ -261,8 +298,7 @@ class EventQueue
         _curTick = 0;
         _nextFarSeq = 0;
         _runningOrder = 0;
-        _runningPhase0 = false;
-        _inserterBit = 0;
+        _rearmAt = 0;
         _stopRequested = false;
         _stats = EventQueueStats{};
     }
@@ -288,14 +324,14 @@ class EventQueue
      */
     struct EventNode
     {
-        /** FIFO link within a tick slot / free-list link. */
+        /** Link within a tick slot / free-list link. */
         EventNode *next;
         void (*invoke)(void *);
         /** Null for trivially-destructible inline callables; frees
          *  the heap copy for oversized ones. */
         void (*dtor)(void *);
-        /** EventOrder packed as insertTick << 1 | inserterPhase0
-         *  (fills the padding in front of the aligned buffer). */
+        /** EventOrder::key() (fills the padding in front of the
+         *  aligned buffer). */
         std::uint64_t order;
         alignas(std::max_align_t)
             unsigned char buf[inlineCallbackBytes];
@@ -305,27 +341,21 @@ class EventQueue
     static_assert(offsetof(EventNode, buf) == 4 * sizeof(void *),
                   "the order key must live in the buffer's padding");
 
-    /** One tick's worth of events: a phase-0 FIFO (drained first)
-     *  and the normal FIFO, each in schedule order. */
+    /** One tick's events, sorted by position, FIFO within one. */
     struct Slot
     {
-        EventNode *head0 = nullptr;
-        EventNode *tail0 = nullptr;
         EventNode *head = nullptr;
         EventNode *tail = nullptr;
-        bool empty() const { return !head0 && !head; }
     };
 
     /** An event beyond the near horizon, heap-ordered by (when,
-     *  insertTick, seq); insertTick grows with seq except for
-     *  scheduleAs() events, which it places among their tick. */
+     *  order, seq). */
     struct FarEvent
     {
         Tick when;
-        Tick insertTick;
+        std::uint64_t order;
         std::uint64_t seq;
         EventNode *node;
-        bool phase0;
     };
 
     /** Comparator making std::push_heap/pop_heap a min-heap. */
@@ -336,8 +366,8 @@ class EventQueue
         {
             if (a.when != b.when)
                 return a.when > b.when;
-            if (a.insertTick != b.insertTick)
-                return a.insertTick > b.insertTick;
+            if (a.order != b.order)
+                return a.order > b.order;
             return a.seq > b.seq;
         }
     };
@@ -391,34 +421,22 @@ class EventQueue
 
     template <typename F>
     void
-    scheduleImpl(Tick when, F &&f, bool phase0)
+    scheduleKeyed(Tick when, std::uint64_t order, F &&f)
     {
-        if (when < _curTick)
-            panic("scheduling event in the past (%llu < %llu)",
-                  (unsigned long long)when, (unsigned long long)_curTick);
         EventNode *n = allocNode();
         emplace(n, std::forward<F>(f));
-        n->order = (_curTick << 1) | _inserterBit;
+        n->order = order;
         ++_stats.scheduled;
-
-        const std::uint64_t w = when >> kLogBuckets;
-        if (w == _curWindow) {
-            appendSlot(static_cast<std::size_t>(when & kSlotMask), n,
-                       phase0);
-            ++_ringCount;
-        } else {
-            pushOverflow(when, n, phase0);
-        }
+        link(when, n);
         notePending();
     }
 
     void
-    pushOverflow(Tick when, EventNode *n, bool phase0)
+    credit(std::uint64_t n)
     {
-        ++_stats.overflowEvents;
-        _overflow.push_back(
-            FarEvent{when, n->order >> 1, _nextFarSeq++, n, phase0});
-        std::push_heap(_overflow.begin(), _overflow.end(), FarLater{});
+        _stats.executed += n;
+        _stats.scheduled += n;
+        _stats.inlineCallbacks += n;
     }
 
     void
@@ -429,43 +447,40 @@ class EventQueue
             _stats.peakPending = pending;
     }
 
-    /** Link normal-phase @p n into @p slot after every node scheduled
-     *  at or before its insert tick. A slot's list is sorted by
-     *  insert tick: appends carry the current tick and migrations
-     *  arrive in (insertTick, seq) order into an empty ring. */
+    /** Queue @p n at tick @p when: into its slot after every node at
+     *  or before its position, or into the overflow heap when the
+     *  tick lies beyond the current window. */
     void
-    insertSorted(std::size_t slot, EventNode *n)
+    link(Tick when, EventNode *n)
     {
-        Slot &s = _slots[slot];
-        if (s.empty())
-            _occupied[slot >> 6] |= std::uint64_t(1) << (slot & 63);
-        const Tick at = n->order >> 1;
-        EventNode *prev = nullptr;
-        EventNode *cur = s.head;
-        while (cur && (cur->order >> 1) <= at) {
-            prev = cur;
-            cur = cur->next;
+        if ((when >> kLogBuckets) != _curWindow) {
+            ++_stats.overflowEvents;
+            _overflow.push_back(
+                FarEvent{when, n->order, _nextFarSeq++, n});
+            std::push_heap(_overflow.begin(), _overflow.end(),
+                           FarLater{});
+            return;
         }
-        n->next = cur;
-        (prev ? prev->next : s.head) = n;
-        if (!cur)
-            s.tail = n;
-    }
-
-    void
-    appendSlot(std::size_t slot, EventNode *n, bool phase0)
-    {
-        n->next = nullptr;
+        ++_ringCount;
+        const std::size_t slot = static_cast<std::size_t>(when & kSlotMask);
         Slot &s = _slots[slot];
-        if (s.empty())
+        if (!s.head) {
             _occupied[slot >> 6] |= std::uint64_t(1) << (slot & 63);
-        EventNode *&head = phase0 ? s.head0 : s.head;
-        EventNode *&tail = phase0 ? s.tail0 : s.tail;
-        if (head)
-            tail->next = n;
-        else
-            head = n;
-        tail = n;
+            n->next = nullptr;
+            s.head = s.tail = n;
+        } else if (s.tail->order <= n->order) {
+            n->next = nullptr;
+            s.tail->next = n;
+            s.tail = n;
+        } else {
+            // Rare: an event positioned ahead of the slot's last one
+            // (the tail's position is beyond ours, so the walk stops).
+            EventNode **at = &s.head;
+            while ((*at)->order <= n->order)
+                at = &(*at)->next;
+            n->next = *at;
+            *at = n;
+        }
     }
 
     /** First occupied slot >= from, or -1. */
@@ -521,9 +536,8 @@ class EventQueue
     }
 
     /** Make the overflow's earliest window current, migrating its
-     *  events into the slots. Heap order is (when, seq), and any
-     *  future append to those slots carries a later sequence, so
-     *  same-tick FIFO order is preserved across the migration. */
+     *  events into the (empty) ring. They leave the heap in (when,
+     *  order, seq) order, so each slot fills already sorted. */
     void
     advanceWindow()
     {
@@ -536,14 +550,13 @@ class EventQueue
                           FarLater{});
             const FarEvent fe = _overflow.back();
             _overflow.pop_back();
-            appendSlot(static_cast<std::size_t>(fe.when & kSlotMask),
-                       fe.node, fe.phase0);
-            ++_ringCount;
+            link(fe.when, fe.node);
         }
     }
 
-    /** Execute the next event; @p when must come from findNextTick. */
-    void
+    /** Execute the next event; @p when must come from findNextTick.
+     *  Returns 0 when the event re-armed itself, else 1. */
+    unsigned
     executeOne(Tick when)
     {
         if (!_ringCount)
@@ -552,27 +565,30 @@ class EventQueue
             static_cast<std::size_t>(when & kSlotMask);
         Slot &s = _slots[slot];
         // Detach before invoking: the callback may append same-tick
-        // events to this very slot. Phase-0 events drain first.
-        const bool phase0 = s.head0 != nullptr;
-        EventNode *&head = phase0 ? s.head0 : s.head;
-        EventNode *&tail = phase0 ? s.tail0 : s.tail;
-        EventNode *n = head;
-        head = n->next;
-        if (!head)
-            tail = nullptr;
-        if (s.empty())
+        // events to this very slot.
+        EventNode *n = s.head;
+        s.head = n->next;
+        if (!s.head) {
+            s.tail = nullptr;
             _occupied[slot >> 6] &=
                 ~(std::uint64_t(1) << (slot & 63));
+        }
         --_ringCount;
         _curTick = when;
         _runningOrder = n->order;
-        _runningPhase0 = phase0;
-        _inserterBit = phase0 && (n->order >> 1) < when ? 1 : 0;
         n->invoke(n->buf);
+        if (_rearmAt) {
+            const Tick at = _rearmAt;
+            _rearmAt = 0;
+            ++_stats.rearms;
+            link(at, n);
+            return 0;
+        }
         if (n->dtor)
             n->dtor(n->buf);
         freeNode(n);
         ++_stats.executed;
+        return 1;
     }
 
     /** Destroy every pending callable and recycle its node (reset()
@@ -581,14 +597,12 @@ class EventQueue
     destroyPending()
     {
         for (Slot &s : _slots) {
-            for (EventNode *list : {s.head0, s.head}) {
-                for (EventNode *n = list; n;) {
-                    EventNode *next = n->next;
-                    if (n->dtor)
-                        n->dtor(n->buf);
-                    freeNode(n);
-                    n = next;
-                }
+            for (EventNode *n = s.head; n;) {
+                EventNode *next = n->next;
+                if (n->dtor)
+                    n->dtor(n->buf);
+                freeNode(n);
+                n = next;
             }
             s = Slot{};
         }
@@ -614,11 +628,10 @@ class EventQueue
     std::size_t _slabUsed = kNodesPerSlab;
 
     Tick _curTick = 0;
-    /** Packed order key and phase of the running event, and the
-     *  inserterPhase0 bit the events it schedules inherit. */
+    /** EventOrder::key() of the running event. */
     std::uint64_t _runningOrder = 0;
-    bool _runningPhase0 = false;
-    std::uint64_t _inserterBit = 0;
+    /** Tick the running event asked to be re-armed at (0 = none). */
+    Tick _rearmAt = 0;
     bool _stopRequested = false;
     EventQueueStats _stats;
 };

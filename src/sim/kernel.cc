@@ -273,6 +273,8 @@ SimKernel::aggregateStats() const
         sum.overflowEvents += s.overflowEvents;
         sum.windowAdvances += s.windowAdvances;
         sum.elided += s.elided;
+        sum.folded += s.folded;
+        sum.rearms += s.rearms;
     }
     return sum;
 }

@@ -55,6 +55,16 @@ struct RunPerf
     /** Wakes whose ordering against the chain was a tie. */
     std::uint64_t spinWakeTies = 0;
 
+    // Folded network drains (src/net/network.hh): eventsExecuted still
+    // counts one drain event per distinct (node, arrival tick), as
+    // before deliveries booked their own ejection. Content-determined,
+    // serialized with the elision counters.
+    /** Drain events credited instead of executed. */
+    std::uint64_t drainsFolded = 0;
+    /** Deliveries whose booked tick was later than their event's,
+     *  which ran once more there (not counted in eventsExecuted). */
+    std::uint64_t deliveryRearms = 0;
+
     // Message pool counters.
     std::uint64_t poolAcquires = 0;
     std::uint64_t poolReuses = 0;
@@ -81,12 +91,13 @@ struct RunPerf
     /** Host wall-clock seconds (volatile across hosts/runs). */
     double wallSeconds = 0.0;
 
-    /** Events the kernel really executed (model events minus the
-     *  elided ones). */
+    /** Events the kernel really ran: model events minus the elided
+     *  and folded ones, plus the re-armed runs. */
     std::uint64_t
     eventsRun() const
     {
-        return eventsExecuted - eventsElided;
+        return eventsExecuted - eventsElided - drainsFolded +
+               deliveryRearms;
     }
 
     double

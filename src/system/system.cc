@@ -87,14 +87,14 @@ System::System(const MachineConfig &cfg)
 System::~System() = default;
 
 void
-System::resetStats()
+System::resetStats(Tick boundary)
 {
     for (auto &hub : _hubs)
         hub->stats().reset();
-    _net.resetStats();
+    _net.resetStats(boundary);
     for (auto &h : _shardConsumerHists)
         h.reset();
-    _statsResetTick = _kernel.queue(0).curTick();
+    _statsResetTick = boundary;
 }
 
 /**
@@ -186,8 +186,7 @@ System::run(Workload &workload, Tick max_ticks)
         if (gen == 1) {
             _kernel.requestGlobalAction(at, [this](Tick boundary) {
                 _barrier->settleParked(boundary);
-                resetStats();
-                _statsResetTick = boundary;
+                resetStats(boundary);
             });
         }
     });
@@ -248,6 +247,8 @@ System::run(Workload &workload, Tick max_ticks)
     r.perf.overflowEvents = eqs.overflowEvents;
     r.perf.windowAdvances = eqs.windowAdvances;
     r.perf.eventsElided = eqs.elided;
+    r.perf.drainsFolded = eqs.folded;
+    r.perf.deliveryRearms = eqs.rearms;
     const BarrierDriver::SpinStats spin = _barrier->spinStats();
     r.perf.spinPollsElided = spin.pollsElided;
     r.perf.spinParks = spin.parks;

@@ -140,8 +140,9 @@ class System
      */
     RunResult run(Workload &workload, Tick max_ticks = maxTick);
 
-    /** Zero all node and network statistics. */
-    void resetStats();
+    /** Zero all node and network statistics at stats boundary
+     *  @p boundary (see Network::resetStats). */
+    void resetStats(Tick boundary);
 
   private:
     /** Trace-scan first-touch pre-placement + map freeze (see .cc). */

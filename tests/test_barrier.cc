@@ -118,11 +118,11 @@ namespace
 const SpinChain kChain{/*firstPoll=*/1000, /*spinDelay=*/30,
                        /*hitLatency=*/2};
 
-/** A normal-phase waker scheduled at @p insert_tick. */
+/** A waker in position (@p insert_tick, @p early). */
 EventOrder
-normalWaker(Tick insert_tick, bool inserter_phase0 = false)
+waker(Tick insert_tick, bool early = false)
 {
-    return EventOrder{insert_tick, inserter_phase0, false};
+    return EventOrder{insert_tick, early};
 }
 
 void
@@ -138,55 +138,52 @@ expectPrefix(const SpinPrefix &p, std::uint64_t polls,
 
 TEST(SpinWakePrefix, WakeBeforeTheFirstVirtualPoll)
 {
-    expectPrefix(spinWakePrefix(kChain, 971, normalWaker(900)), 0, 0);
-    expectPrefix(spinWakePrefix(kChain, 999, normalWaker(998)), 0, 0);
+    expectPrefix(spinWakePrefix(kChain, 971, waker(900)), 0, 0);
+    expectPrefix(spinWakePrefix(kChain, 999, waker(998)), 0, 0);
 }
 
 TEST(SpinWakePrefix, WakeOnAPollTick)
 {
     // L_1 at 1000 was scheduled at 970.
-    expectPrefix(spinWakePrefix(kChain, 1000, normalWaker(960)), 0, 0);
-    expectPrefix(spinWakePrefix(kChain, 1000, normalWaker(980)), 1, 0);
-    // Same insert tick: a waker scheduled by an early phase-0 event
-    // (every remote delivery) was queued first.
+    expectPrefix(spinWakePrefix(kChain, 1000, waker(960)), 0, 0);
+    expectPrefix(spinWakePrefix(kChain, 1000, waker(980)), 1, 0);
+    // Same insert tick: an early waker (every remote delivery) was
+    // queued first.
     expectPrefix(
-        spinWakePrefix(kChain, 1000, normalWaker(970, true)), 0, 0);
+        spinWakePrefix(kChain, 1000, waker(970, true)), 0, 0);
     // L_3 at 1064, scheduled at 1034, after D_2 at 1034.
-    expectPrefix(spinWakePrefix(kChain, 1064, normalWaker(1033)), 2, 2);
-    expectPrefix(spinWakePrefix(kChain, 1064, normalWaker(1035)), 3, 2);
+    expectPrefix(spinWakePrefix(kChain, 1064, waker(1033)), 2, 2);
+    expectPrefix(spinWakePrefix(kChain, 1064, waker(1035)), 3, 2);
 }
 
 TEST(SpinWakePrefix, WakeOnACompletionTick)
 {
     // D_3 at 1066 was scheduled at L_3 = 1064.
-    expectPrefix(spinWakePrefix(kChain, 1066, normalWaker(1063)), 3, 2);
+    expectPrefix(spinWakePrefix(kChain, 1066, waker(1063)), 3, 2);
     expectPrefix(
-        spinWakePrefix(kChain, 1066, normalWaker(1064, true)), 3, 2);
-    expectPrefix(spinWakePrefix(kChain, 1066, normalWaker(1066)), 3, 3);
+        spinWakePrefix(kChain, 1066, waker(1064, true)), 3, 2);
+    expectPrefix(spinWakePrefix(kChain, 1066, waker(1066)), 3, 3);
     // Between events.
-    expectPrefix(spinWakePrefix(kChain, 1065, normalWaker(1000)), 3, 2);
-    expectPrefix(spinWakePrefix(kChain, 1067, normalWaker(1000)), 3, 3);
+    expectPrefix(spinWakePrefix(kChain, 1065, waker(1000)), 3, 2);
+    expectPrefix(spinWakePrefix(kChain, 1067, waker(1000)), 3, 3);
 }
 
-TEST(SpinWakePrefix, EarlyPhase0WakerPrecedesTheWholeTick)
+TEST(SpinWakePrefix, EarlyWakerFromBeforeTheChainPrecedesTheWholeTick)
 {
-    const EventOrder early{/*insertTick=*/1, false, /*phase0=*/true};
+    const EventOrder early{/*insertTick=*/1, /*early=*/true};
     expectPrefix(spinWakePrefix(kChain, 1064, early), 2, 2);
     expectPrefix(spinWakePrefix(kChain, 1066, early), 3, 2);
 }
 
-TEST(SpinWakePrefix, NormalPhaseTiesAreCountedAndResolvedChainFirst)
+TEST(SpinWakePrefix, NormalTiesAreCountedAndResolvedChainFirst)
 {
     // Waker and chain event scheduled in the same tick by normal
     // events: nothing recorded orders them.
-    expectPrefix(spinWakePrefix(kChain, 1000, normalWaker(970)), 1, 0,
-                 true);
-    expectPrefix(spinWakePrefix(kChain, 1066, normalWaker(1064)), 3, 3,
-                 true);
-    // A same-tick phase-0 waker runs right after its unknown inserter.
-    expectPrefix(spinWakePrefix(kChain, 1066, EventOrder{1066, true,
-                                                         true}),
-                 3, 3, true);
+    expectPrefix(spinWakePrefix(kChain, 1000, waker(970)), 1, 0, true);
+    expectPrefix(spinWakePrefix(kChain, 1066, waker(1064)), 3, 3, true);
+    // An early waker positioned at the wake tick itself comes after
+    // every chain event of that tick, which were inserted earlier.
+    expectPrefix(spinWakePrefix(kChain, 1066, waker(1066, true)), 3, 3);
 }
 
 TEST(SpinWakePrefix, MillionPeriodSpin)
@@ -194,10 +191,10 @@ TEST(SpinWakePrefix, MillionPeriodSpin)
     const std::uint64_t k = 2'000'000;
     const Tick lk = kChain.pollTick(k);
     EXPECT_EQ(lk, 1000u + 32u * (k - 1));
-    expectPrefix(spinWakePrefix(kChain, lk + 7, normalWaker(lk)), k, k);
-    expectPrefix(spinWakePrefix(kChain, lk + 2, normalWaker(lk - 1)), k,
+    expectPrefix(spinWakePrefix(kChain, lk + 7, waker(lk)), k, k);
+    expectPrefix(spinWakePrefix(kChain, lk + 2, waker(lk - 1)), k,
                  k - 1);
-    expectPrefix(spinWakePrefix(kChain, lk, normalWaker(lk)), k, k - 1);
+    expectPrefix(spinWakePrefix(kChain, lk, waker(lk)), k, k - 1);
 }
 
 TEST(SpinWakePrefix, PrefixBeforeATickExcludesThatTick)

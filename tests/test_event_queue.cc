@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -360,63 +361,63 @@ TEST(EventQueue, RandomizedStressMatchesReferenceModel)
     }
 }
 
-TEST(EventQueue, Phase0RunsBeforeNormalEventsAtTheSameTick)
+TEST(EventQueue, EarlyPositionRunsBeforeNormalEventsOfItsInsertTick)
 {
     EventQueue eq;
     std::vector<int> order;
     eq.schedule(10, [&]() { order.push_back(1); });
     eq.schedule(10, [&]() { order.push_back(2); });
-    // Scheduled last, still drains first: phase 0 models "the tick
-    // begins" work like the network's arrival drains.
-    eq.schedulePhase0(10, [&]() { order.push_back(0); });
+    // Scheduled last, still runs first: an early event inserted at
+    // tick 0 goes ahead of the normal events inserted then.
+    eq.schedule(10, EventOrder{0, true}, [&]() { order.push_back(0); });
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
-TEST(EventQueue, Phase0KeepsFifoOrderWithinThePhase)
+TEST(EventQueue, EqualPositionsKeepScheduleOrder)
 {
     EventQueue eq;
     std::vector<int> order;
     for (int i = 0; i < 8; ++i)
-        eq.schedulePhase0(5, [&order, i]() { order.push_back(i); });
+        eq.schedule(5, EventOrder{3, true},
+                    [&order, i]() { order.push_back(i); });
     eq.run();
     for (int i = 0; i < 8; ++i)
         EXPECT_EQ(order[i], i);
 }
 
-TEST(EventQueue, Phase0InterleavesAcrossTicks)
+TEST(EventQueue, KeyedEventsInterleaveAcrossTicks)
 {
     EventQueue eq;
     std::vector<int> order;
     eq.schedule(10, [&]() { order.push_back(11); });
-    eq.schedulePhase0(20, [&]() { order.push_back(20); });
-    eq.schedulePhase0(10, [&]() { order.push_back(10); });
+    eq.schedule(20, EventOrder{0, true}, [&]() { order.push_back(20); });
+    eq.schedule(10, EventOrder{0, true}, [&]() { order.push_back(10); });
     eq.schedule(20, [&]() { order.push_back(21); });
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{10, 11, 20, 21}));
 }
 
-TEST(EventQueue, Phase0SchedulesFromEventsAndFarFuture)
+TEST(EventQueue, PositionsHoldFromEventsAndAcrossWindows)
 {
     EventQueue eq;
     std::vector<Tick> ticks;
-    // A normal event books a far-future phase-0 event (overflow path)
-    // plus same-window ones; each drains at the head of its tick.
-    eq.schedule(1, [&]() {
-        eq.schedulePhase0(1000000, [&]() {
-            ticks.push_back(eq.curTick());
-        });
-        eq.schedulePhase0(50, [&]() { ticks.push_back(eq.curTick()); });
-    });
+    // Normal events at 50 and 1000000 (the latter in the overflow
+    // heap), both inserted at tick 0; an event at tick 1 then queues
+    // early events positioned at tick 0, which run ahead of each.
     eq.schedule(50, [&]() { ticks.push_back(0); });
+    eq.schedule(1000000, [&]() { ticks.push_back(1); });
+    eq.schedule(1, [&]() {
+        eq.schedule(1000000, EventOrder{0, true},
+                    [&]() { ticks.push_back(eq.curTick()); });
+        eq.schedule(50, EventOrder{0, true},
+                    [&]() { ticks.push_back(eq.curTick()); });
+    });
     eq.run();
-    ASSERT_EQ(ticks.size(), 3u);
-    EXPECT_EQ(ticks[0], 50u);
-    EXPECT_EQ(ticks[1], 0u);
-    EXPECT_EQ(ticks[2], 1000000u);
+    EXPECT_EQ(ticks, (std::vector<Tick>{50, 0, 1000000, 1}));
 }
 
-TEST(EventQueue, PeekNextTickSeesBothPhases)
+TEST(EventQueue, PeekNextTickSeesKeyedEvents)
 {
     EventQueue eq;
     Tick when = 0;
@@ -424,14 +425,14 @@ TEST(EventQueue, PeekNextTickSeesBothPhases)
     eq.schedule(30, []() {});
     ASSERT_TRUE(eq.peekNextTick(when));
     EXPECT_EQ(when, 30u);
-    eq.schedulePhase0(10, []() {});
+    eq.schedule(10, EventOrder{5, true}, []() {});
     ASSERT_TRUE(eq.peekNextTick(when));
     EXPECT_EQ(when, 10u);
     eq.run();
     EXPECT_FALSE(eq.peekNextTick(when));
 }
 
-TEST(EventQueue, ScheduleAsTakesItsInsertTickPosition)
+TEST(EventQueue, PastPositionTakesItsInsertTickPlace)
 {
     EventQueue eq;
     std::vector<char> order;
@@ -443,16 +444,19 @@ TEST(EventQueue, ScheduleAsTakesItsInsertTickPosition)
         eq.schedule(100, [&]() { order.push_back('c'); });
     });
     eq.schedule(30, [&]() {
-        // Between b (10) and c (20); an equal insert tick goes last.
-        eq.scheduleAs(100, 15, [&]() { order.push_back('x'); });
-        eq.scheduleAs(100, 10, [&]() { order.push_back('y'); });
-        eq.scheduleAs(100, 30, [&]() { order.push_back('z'); });
+        // Between b (10) and c (20); an equal position goes last.
+        eq.schedule(100, EventOrder{15, false},
+                    [&]() { order.push_back('x'); });
+        eq.schedule(100, EventOrder{10, false},
+                    [&]() { order.push_back('y'); });
+        eq.schedule(100, EventOrder{30, false},
+                    [&]() { order.push_back('z'); });
     });
     eq.run();
     EXPECT_EQ(order, (std::vector<char>{'a', 'b', 'y', 'x', 'c', 'z'}));
 }
 
-TEST(EventQueue, ScheduleAsKeepsItsPositionAcrossWindows)
+TEST(EventQueue, PastPositionHoldsAcrossWindows)
 {
     EventQueue eq;
     std::vector<char> order;
@@ -461,53 +465,218 @@ TEST(EventQueue, ScheduleAsKeepsItsPositionAcrossWindows)
         eq.schedule(10000, [&]() { order.push_back('c'); });
     });
     eq.schedule(100, [&]() {
-        eq.scheduleAs(10000, 20, [&]() { order.push_back('b'); });
+        eq.schedule(10000, EventOrder{20, false},
+                    [&]() { order.push_back('b'); });
     });
     eq.run();
     EXPECT_EQ(order, (std::vector<char>{'a', 'b', 'c'}));
     EXPECT_EQ(eq.stats().scheduled, 5u);
 }
 
-TEST(EventQueueDeath, ScheduleAsFromTheFuturePanics)
+TEST(EventQueue, FuturePositionGoesAheadOfLaterInserts)
 {
+    // A remote delivery queued at send time, positioned where its
+    // arrival tick (50) would have queued it: after normal events
+    // inserted before 50, ahead of those inserted at 50 or later.
     EventQueue eq;
-    EXPECT_DEATH(eq.scheduleAs(10, 5, []() {}), "scheduleAs");
+    std::vector<char> order;
+    eq.schedule(100, EventOrder{50, true}, [&]() { order.push_back('d'); });
+    eq.schedule(40, [&]() {
+        eq.schedule(100, [&]() { order.push_back('m'); });
+    });
+    eq.schedule(50, [&]() {
+        eq.schedule(100, [&]() { order.push_back('n'); });
+        eq.schedule(100, EventOrder{50, true},
+                    [&]() { order.push_back('e'); });
+    });
+    eq.schedule(100, [&]() { order.push_back('a'); }); // inserted at 0
+    eq.run();
+    EXPECT_EQ(order, (std::vector<char>{'a', 'm', 'd', 'e', 'n'}));
 }
 
-TEST(EventQueue, RunningOrderReportsInsertTickAndPhases)
+TEST(EventQueueDeath, PositionAfterItsOwnTickPanics)
+{
+    EventQueue eq;
+    EXPECT_DEATH(eq.schedule(10, EventOrder{11, true}, []() {}),
+                 "schedule: event at 10 in position 11");
+}
+
+TEST(EventQueueDeath, PositionAheadOfTheRunningEventPanics)
+{
+    EventQueue eq;
+    eq.schedule(10, [&]() {
+        eq.schedule(10, EventOrder{0, true}, []() {});
+    });
+    EXPECT_DEATH(eq.run(), "schedule: event at 10 in position 0");
+}
+
+TEST(EventQueue, RunningOrderReportsThePosition)
 {
     EventQueue eq;
     std::vector<EventOrder> seen;
     const auto record = [&]() { seen.push_back(eq.runningOrder()); };
     eq.schedule(5, [&]() {
         record();
-        // Early phase-0 event at 20 whose children inherit the bit.
-        eq.schedulePhase0(20, [&]() {
+        eq.schedule(20, EventOrder{12, true}, [&]() {
             record();
+            // Plain children of an early event are normal events.
             eq.schedule(30, record);
-            // Same-tick phase-0 runs after some normal events, so its
-            // children do not inherit the bit.
-            eq.schedulePhase0(20, [&]() {
-                record();
-                eq.schedule(40, record);
-            });
         });
     });
     eq.run();
-    ASSERT_EQ(seen.size(), 5u);
+    ASSERT_EQ(seen.size(), 3u);
     EXPECT_EQ(seen[0].insertTick, 0u);
-    EXPECT_FALSE(seen[0].phase0);
+    EXPECT_FALSE(seen[0].early);
+    EXPECT_EQ(seen[1].insertTick, 12u);
+    EXPECT_TRUE(seen[1].early);
+    EXPECT_EQ(seen[2].insertTick, 20u);
+    EXPECT_FALSE(seen[2].early);
+}
+
+TEST(EventQueue, PositionKeyOrdersEarlyBeforeNormal)
+{
+    EXPECT_LT((EventOrder{7, true}.key()), (EventOrder{7, false}.key()));
+    EXPECT_LT((EventOrder{6, false}.key()), (EventOrder{7, true}.key()));
+    for (const EventOrder o : {EventOrder{0, true}, EventOrder{9, false}}) {
+        const EventOrder back = EventOrder::fromKey(o.key());
+        EXPECT_EQ(back.insertTick, o.insertTick);
+        EXPECT_EQ(back.early, o.early);
+    }
+}
+
+TEST(EventQueue, RearmRunsTheSameEventAgainInItsPosition)
+{
+    EventQueue eq;
+    std::vector<char> order;
+    std::vector<EventOrder> seen;
+    auto token = std::make_shared<int>(0);
+    int runs = 0;
+    eq.schedule(25, [&]() { order.push_back('a'); }); // inserted at 0
+    eq.schedule(10, EventOrder{5, true}, [&, token]() {
+        order.push_back('r');
+        seen.push_back(eq.runningOrder());
+        if (++runs == 1)
+            eq.rearm(25);
+    });
+    eq.schedule(10, [&]() {
+        eq.schedule(25, [&]() { order.push_back('b'); });
+    });
+    EXPECT_EQ(eq.run(), 4u); // the re-armed pass is not an event
+    EXPECT_EQ(order, (std::vector<char>{'r', 'a', 'r', 'b'}));
+    ASSERT_EQ(seen.size(), 2u);
     EXPECT_EQ(seen[1].insertTick, 5u);
-    EXPECT_TRUE(seen[1].phase0);
-    EXPECT_FALSE(seen[1].inserterPhase0);
-    EXPECT_EQ(seen[2].insertTick, 20u); // the same-tick phase-0 event
-    EXPECT_TRUE(seen[2].phase0);
-    EXPECT_TRUE(seen[2].inserterPhase0);
-    EXPECT_EQ(seen[3].insertTick, 20u); // tick 30, from the early one
-    EXPECT_FALSE(seen[3].phase0);
-    EXPECT_TRUE(seen[3].inserterPhase0);
-    EXPECT_EQ(seen[4].insertTick, 20u); // tick 40, from the late one
-    EXPECT_FALSE(seen[4].inserterPhase0);
+    EXPECT_TRUE(seen[1].early);
+    EXPECT_EQ(token.use_count(), 1); // destroyed once, after the rerun
+    EXPECT_EQ(eq.stats().executed, 4u);
+    EXPECT_EQ(eq.stats().scheduled, 4u);
+    EXPECT_EQ(eq.stats().inlineCallbacks, 4u);
+    EXPECT_EQ(eq.stats().rearms, 1u);
+}
+
+TEST(EventQueue, RearmCrossesWindows)
+{
+    EventQueue eq;
+    std::vector<Tick> ticks;
+    eq.schedule(10, [&]() {
+        ticks.push_back(eq.curTick());
+        if (ticks.size() == 1)
+            eq.rearm(1000000);
+    });
+    eq.schedule(999999, [&]() { ticks.push_back(0); });
+    eq.run();
+    EXPECT_EQ(ticks, (std::vector<Tick>{10, 0, 1000000}));
+    EXPECT_EQ(eq.stats().executed, 2u);
+    EXPECT_TRUE(eq.empty());
+}
+
+TEST(EventQueueDeath, RearmAtTheCurrentTickPanics)
+{
+    EventQueue eq;
+    eq.schedule(10, [&]() { eq.rearm(10); });
+    EXPECT_DEATH(eq.run(), "rearm at 10 from tick 10");
+}
+
+TEST(EventQueue, RandomizedKeyedScheduleMatchesStableSort)
+{
+    // Plain, position-keyed (past, future, early and normal) and
+    // far-future events, some spawning more and some re-arming: the
+    // run order must be the stable sort of every queued (tick,
+    // position) pair, a re-arm counting as a fresh insertion.
+    for (std::uint64_t seed : {3ull, 77ull, 0xfeedfaceull}) {
+        EventQueue eq;
+        XorShift rng{seed};
+        struct Queued
+        {
+            Tick when;
+            std::uint64_t key;
+            std::uint64_t seq;
+            int id;
+        };
+        std::vector<Queued> queued;
+        std::vector<int> got;
+        int nextId = 0;
+
+        const auto pickWhen = [&](Tick now) {
+            const std::uint64_t r = rng.next();
+            switch (r & 3) {
+            case 0: return now + r % 4;              // same-tick bursts
+            case 1: return now + r % 4096;           // in-window
+            case 2: return now + 4096 + r % 100000;  // a few windows out
+            default: return now + r % 5000000;       // far future
+            }
+        };
+        std::function<void(int, int)> queue = [&](int id, int depth) {
+            const Tick now = eq.curTick();
+            const Tick when = pickWhen(now);
+            const std::uint64_t r = rng.next();
+            EventOrder pos{now, false};
+            const bool keyed = (r & 3) != 0;
+            if (keyed && when > now) {
+                // Anywhere from a while back to the event's own tick.
+                const Tick back = std::min<Tick>(now, (r >> 2) % 300);
+                pos.insertTick = now - back + (r >> 12) % (when - now + back + 1);
+                pos.early = (r >> 40) & 1;
+            }
+            queued.push_back(Queued{when, pos.key(),
+                                    std::uint64_t(queued.size()), id});
+            auto body = [&, id, depth, reruns = 0]() mutable {
+                got.push_back(id);
+                const std::uint64_t c = rng.next();
+                if (reruns == 0 && (c & 7) == 0) {
+                    ++reruns;
+                    const Tick at = eq.curTick() + 1 + (c >> 3) % 9000;
+                    id = nextId++;
+                    queued.push_back(Queued{at, eq.runningOrder().key(),
+                                            std::uint64_t(queued.size()),
+                                            id});
+                    eq.rearm(at);
+                    return;
+                }
+                if (depth > 0 && (c & 0x30) == 0)
+                    queue(nextId++, depth - 1);
+            };
+            if (keyed)
+                eq.schedule(when, pos, std::move(body));
+            else
+                eq.schedule(when, std::move(body));
+        };
+
+        for (int i = 0; i < 400; ++i)
+            queue(nextId++, 3);
+        eq.run();
+
+        std::stable_sort(queued.begin(), queued.end(),
+                         [](const Queued &a, const Queued &b) {
+                             if (a.when != b.when)
+                                 return a.when < b.when;
+                             return a.key < b.key;
+                         });
+        std::vector<int> want;
+        for (const Queued &q : queued)
+            want.push_back(q.id);
+        EXPECT_EQ(got, want) << "seed " << seed;
+        EXPECT_TRUE(eq.empty());
+    }
 }
 
 TEST(EventQueue, CreditElidedCountsModelEvents)
@@ -520,4 +689,17 @@ TEST(EventQueue, CreditElidedCountsModelEvents)
     EXPECT_EQ(eq.stats().scheduled, 8u);
     EXPECT_EQ(eq.stats().inlineCallbacks, 8u);
     EXPECT_EQ(eq.stats().elided, 7u);
+}
+
+TEST(EventQueue, CreditFoldedCountsModelEvents)
+{
+    EventQueue eq;
+    eq.schedule(1, []() {});
+    eq.run();
+    eq.creditFolded(3);
+    EXPECT_EQ(eq.stats().executed, 4u);
+    EXPECT_EQ(eq.stats().scheduled, 4u);
+    EXPECT_EQ(eq.stats().inlineCallbacks, 4u);
+    EXPECT_EQ(eq.stats().folded, 3u);
+    EXPECT_EQ(eq.stats().elided, 0u);
 }

@@ -2,12 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <queue>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "src/net/faults.hh"
 #include "src/net/network.hh"
 #include "src/net/topology.hh"
 #include "src/sim/event_queue.hh"
 #include "src/sim/kernel.hh"
+#include "src/sim/random.hh"
 
 using namespace pcsim;
 
@@ -209,7 +217,7 @@ TEST_F(NetFixture, StatsTrackMessagesAndBytes)
     EXPECT_EQ(net.numBytes(), 32u + 160u);
     EXPECT_EQ(net.numByType(MsgType::Update), 1u);
     EXPECT_EQ(net.numByType(MsgType::ReqShared), 1u);
-    net.resetStats();
+    net.resetStats(eq.curTick() + 1);
     EXPECT_EQ(net.numMessages(), 0u);
     EXPECT_EQ(net.numBytes(), 0u);
 }
@@ -224,39 +232,48 @@ TEST_F(NetFixture, HopHistogram)
     EXPECT_EQ(net.hopHistogram().bucket(2), 2u);
 }
 
-// Drain bookkeeping: one phase-0 drain per distinct (node, arrival
-// tick), ejecting in (arrive, src, seq) order however the sends were
-// issued.
+// Lazy ejection booking: one event per remote delivery, due at
+// arrive + occupancy; the first of a node's events to run books every
+// pending arrival up to its own in (arrive, src, seq) order, and a
+// delivery booked later than its event re-arms once. The event totals
+// still count one drain per distinct (node, arrival tick).
 
-TEST_F(NetFixture, SameTickArrivalsArmOneDrain)
+TEST_F(NetFixture, ContendedArrivalsRearmOnceInContentOrder)
 {
     // Three one-hop requests sent at tick 0 all arrive at node 0 at
     // tick 8 + 100; send them out of source order.
     for (NodeId src : {3u, 1u, 2u})
         net.send(msg(src, 0));
-    EXPECT_EQ(eq.numPending(), 1u); // a single armed drain
+    EXPECT_EQ(eq.numPending(), 3u); // one event per delivery
     eq.run();
-    // One drain plus three deliveries.
-    EXPECT_EQ(eq.stats().executed, 4u);
     ASSERT_EQ(sinks[0].got.size(), 3u);
     for (unsigned i = 0; i < 3; ++i) {
         EXPECT_EQ(sinks[0].got[i].msg.src, i + 1);
         EXPECT_EQ(sinks[0].got[i].when, 108 + 8 * (i + 1));
     }
+    // Three deliveries plus the folded drain of tick 108; the two
+    // contended ones re-armed without counting.
+    EXPECT_EQ(eq.stats().executed, 4u);
+    EXPECT_EQ(eq.stats().scheduled, 4u);
+    EXPECT_EQ(eq.stats().folded, 1u);
+    EXPECT_EQ(eq.stats().rearms, 2u);
 }
 
-TEST_F(NetFixture, OutOfOrderArrivalTicksDrainInTickOrder)
+TEST_F(NetFixture, OutOfOrderArrivalTicksBookInTickOrder)
 {
     // Arrival ticks at node 0, in send order: 208 (two hops), 108
-    // (one hop), 208 again (already armed) and 140 (a 160 B data
-    // message, between the two armed ticks).
+    // (one hop), 208 again and 140 (a 160 B data message, between
+    // the two).
     net.send(msg(8, 0));
     net.send(msg(1, 0));
     net.send(msg(9, 0));
     net.send(msg(2, 0, MsgType::RespSharedData));
-    EXPECT_EQ(eq.numPending(), 3u); // drains at 108, 140 and 208
+    EXPECT_EQ(eq.numPending(), 4u);
     eq.run();
+    // Three folded drains (108, 140, 208) and four deliveries; only
+    // the second arrival at 208 found the port busy.
     EXPECT_EQ(eq.stats().executed, 3u + 4u);
+    EXPECT_EQ(eq.stats().rearms, 1u);
     ASSERT_EQ(sinks[0].got.size(), 4u);
     const NodeId order[] = {1, 2, 8, 9};
     const Tick when[] = {116, 180, 216, 224};
@@ -265,15 +282,60 @@ TEST_F(NetFixture, OutOfOrderArrivalTicksDrainInTickOrder)
         EXPECT_EQ(sinks[0].got[i].when, when[i]);
     }
 
-    // Bookkeeping is empty again: a later arrival at a tick already
-    // drained is a fresh tick and arms its own drain.
+    // A later arrival is a fresh tick with a drain of its own.
     net.send(msg(1, 0));
     EXPECT_EQ(eq.numPending(), 1u);
     eq.run();
     EXPECT_EQ(sinks[0].got.size(), 5u);
+    EXPECT_EQ(eq.stats().folded, 4u);
 }
 
-TEST(NetworkShards, FlushedArrivalsShareOneDrain)
+TEST_F(NetFixture, DeliveryRunsInItsArrivalTickPosition)
+{
+    // Nodes 1 and 2 -> 0 both arrive at 108; node 2's delivery is
+    // booked at 124 and re-arms there. Each runs as if an early event
+    // at the arrival tick had queued it: after events queued for its
+    // tick before 108, ahead of those queued at 108 -- though the
+    // re-arm itself happens at 116.
+    net.send(msg(1, 0));
+    net.send(msg(2, 0));
+    std::vector<std::size_t> seen;
+    const auto record = [&]() { seen.push_back(sinks[0].got.size()); };
+    eq.schedule(107, [&]() { eq.schedule(116, record); });
+    eq.schedule(108, [&]() {
+        eq.schedule(116, record);
+        eq.schedule(124, record);
+    });
+    eq.run();
+    ASSERT_EQ(sinks[0].got.size(), 2u);
+    EXPECT_EQ(sinks[0].got[0].when, 116u);
+    EXPECT_EQ(sinks[0].got[1].when, 124u);
+    // At 116: the probe from 107, the delivery, the probe from 108.
+    // At 124: the re-armed delivery, then the probe from 108.
+    EXPECT_EQ(seen, (std::vector<std::size_t>{0, 1, 2}));
+    EXPECT_EQ(eq.stats().rearms, 1u);
+}
+
+TEST_F(NetFixture, BookingCoversEarlierArrivalsWhoseEventsComeLater)
+{
+    // Both arrive at node 0 at tick 140: a 160 B reply from node 2
+    // sent at 0 (due at 180) and a 32 B request from node 3 sent at
+    // 32 (due at 148). The request's event runs first, books the reply
+    // ahead of itself (src 2 < 3) and re-arms behind it.
+    net.send(msg(2, 0, MsgType::RespSharedData));
+    eq.schedule(32, [&]() { net.send(msg(3, 0)); });
+    eq.run();
+    ASSERT_EQ(sinks[0].got.size(), 2u);
+    EXPECT_EQ(sinks[0].got[0].msg.src, 2u);
+    EXPECT_EQ(sinks[0].got[0].when, 180u);
+    EXPECT_EQ(sinks[0].got[1].msg.src, 3u);
+    EXPECT_EQ(sinks[0].got[1].when, 188u);
+    // The send, one folded drain and two deliveries.
+    EXPECT_EQ(eq.stats().executed, 4u);
+    EXPECT_EQ(eq.stats().rearms, 1u);
+}
+
+TEST(NetworkShards, FlushTimeInsertionQueuesOneEventPerArrival)
 {
     // 16 nodes, radix 8: nodes 0-7 on shard 0, 8-15 on shard 1.
     SimKernel kernel(ShardMap::leafAligned(16, 8, 2), 1,
@@ -297,24 +359,403 @@ TEST(NetworkShards, FlushedArrivalsShareOneDrain)
     }
     EXPECT_EQ(kernel.queue(0).numPending(), 0u);
     net.flushShard(0);
-    EXPECT_EQ(kernel.queue(0).numPending(), 1u);
+    EXPECT_EQ(kernel.queue(0).numPending(), 3u);
     net.flushShard(0); // channels are empty now
-    EXPECT_EQ(kernel.queue(0).numPending(), 1u);
+    EXPECT_EQ(kernel.queue(0).numPending(), 3u);
 
     // A same-shard send arriving at the same tick (100 + 8 + 100 =
-    // 208) joins the armed drain and ejects first (lowest source).
+    // 208) joins the flushed arrivals and ejects first (lowest
+    // source), though its event was queued last.
     kernel.queue(0).schedule(100, [&]() {
         m.src = 1;
         net.send(m);
     });
     kernel.run();
-    // The send, one drain and four deliveries.
+    // The send, one folded drain and four deliveries.
     EXPECT_EQ(kernel.queue(0).stats().executed, 6u);
+    EXPECT_EQ(kernel.queue(0).stats().folded, 1u);
+    EXPECT_EQ(kernel.queue(0).stats().rearms, 3u);
     ASSERT_EQ(sinks[0].got.size(), 4u);
     const NodeId order[] = {1, 8, 9, 10};
     for (unsigned i = 0; i < 4; ++i) {
         EXPECT_EQ(sinks[0].got[i].msg.src, order[i]);
         EXPECT_EQ(sinks[0].got[i].when, 208 + 8 * (i + 1));
+    }
+}
+
+namespace
+{
+
+/** A one-hop 160 B send from node 1 to node 0 whose source NI is free
+ *  when sent and whose arrival finds node 0's NI stalled. */
+struct StalledArrival
+{
+    Tick send = 0;
+    Tick arrive = 0;
+    Tick clear = 0;
+};
+
+StalledArrival
+findStalledArrival(const FaultPlan &plan)
+{
+    for (Tick s = 0;; ++s) {
+        const Tick arrive = s + 40 + 100;
+        const Tick clear = plan.stallClearTick(0, arrive);
+        if (plan.stallClearTick(1, s) == s && clear > arrive)
+            return StalledArrival{s, arrive, clear};
+    }
+}
+
+FaultConfig
+allNodesStall()
+{
+    FaultConfig f;
+    f.enabled = true;
+    f.stallNodeFraction = 1.0;
+    f.stallPeriod = 1000;
+    f.stallDuration = 200;
+    return f;
+}
+
+/** Send the stalled arrival, reset the stats at @p boundary (after
+ *  every event before it ran) and finish the run. */
+void
+runWithResetAt(const FaultPlan &plan, const StalledArrival &sa,
+               Tick boundary, std::uint64_t &delayed, Tick &extra,
+               Tick &delivered)
+{
+    EventQueue eq;
+    Network net(eq, 16);
+    net.setFaultPlan(&plan);
+    Sink sinks[16];
+    for (NodeId n = 0; n < 16; ++n) {
+        sinks[n].eq = &eq;
+        net.registerHandler(n, &sinks[n]);
+    }
+    Message m;
+    m.type = MsgType::RespSharedData;
+    m.src = 1;
+    m.dst = 0;
+    eq.schedule(sa.send, [&]() { net.send(m); });
+    eq.run(boundary - 1);
+    net.resetStats(boundary);
+    eq.run();
+    ASSERT_EQ(sinks[0].got.size(), 1u);
+    delivered = sinks[0].got[0].when;
+    delayed = net.faultDelayedMessages();
+    extra = net.faultExtraTicks();
+}
+
+} // namespace
+
+TEST(NetworkFaults, ResetDropsArrivalsBeforeTheBoundaryBookedAfterIt)
+{
+    const FaultPlan plan(allNodesStall(), 16, Rng(5));
+    const StalledArrival sa = findStalledArrival(plan);
+    std::uint64_t delayed = 0;
+    Tick extra = 0, delivered = 0;
+
+    // The arrival precedes the boundary but is booked at its event,
+    // arrive + 40, after it: the reset must still drop it, as it
+    // dropped what a booking at the arrival tick had counted.
+    runWithResetAt(plan, sa, sa.arrive + 1, delayed, extra, delivered);
+    EXPECT_EQ(delivered, sa.clear + 40);
+    EXPECT_EQ(delayed, 0u);
+    EXPECT_EQ(extra, 0u);
+
+    // An arrival at the boundary counts.
+    runWithResetAt(plan, sa, sa.arrive, delayed, extra, delivered);
+    EXPECT_EQ(delivered, sa.clear + 40);
+    EXPECT_EQ(delayed, 1u);
+    EXPECT_EQ(extra, sa.clear - sa.arrive);
+}
+
+// ---- Oracle: the heap-and-drain delivery model --------------------
+
+namespace
+{
+
+struct SendSpec
+{
+    Tick at;
+    NodeId src;
+    NodeId dst;
+    MsgType type;
+};
+
+struct Delivered
+{
+    Tick when = 0;
+    NodeId node = invalidNode;
+};
+
+/**
+ * The network's delivery model as one phase-0 drain event per distinct
+ * (node, arrival tick): it runs ahead of every normal event of its
+ * tick, books ejection for that tick's arrivals in (arrive, src, seq)
+ * order and schedules each delivery. Events run in (tick, phase,
+ * seq) order.
+ */
+struct DrainModel
+{
+    struct Ev
+    {
+        Tick when;
+        int phase;
+        std::uint64_t seq;
+        std::function<void()> fn;
+    };
+    struct EvLater
+    {
+        bool
+        operator()(const Ev &a, const Ev &b) const
+        {
+            if (a.when != b.when)
+                return a.when > b.when;
+            if (a.phase != b.phase)
+                return a.phase > b.phase;
+            return a.seq > b.seq;
+        }
+    };
+    struct Arrival
+    {
+        Tick arrive, occupancy, faultDelay;
+        NodeId src;
+        std::uint64_t seq;
+        std::size_t msg;
+        bool operator>(const Arrival &o) const
+        {
+            if (arrive != o.arrive)
+                return arrive > o.arrive;
+            if (src != o.src)
+                return src > o.src;
+            return seq > o.seq;
+        }
+    };
+
+    NetworkConfig cfg;
+    FatTreeTopology topo{16};
+    const FaultPlan *faults = nullptr;
+    std::priority_queue<Ev, std::vector<Ev>, EvLater> events;
+    std::uint64_t evSeq = 0;
+    std::uint64_t executed = 0;
+    Tick now = 0;
+    std::vector<Tick> egressFree = std::vector<Tick>(16, 0);
+    std::vector<Tick> ingressFree = std::vector<Tick>(16, 0);
+    std::vector<std::uint64_t> srcSeq = std::vector<std::uint64_t>(16, 0);
+    std::map<std::pair<NodeId, NodeId>, Tick> lastArrive;
+    std::vector<std::priority_queue<Arrival, std::vector<Arrival>,
+                                    std::greater<Arrival>>>
+        heaps{16};
+    std::vector<std::set<Tick>> armed{16};
+    std::vector<Delivered> out;
+    std::vector<std::vector<std::size_t>> perNode{16};
+    std::uint64_t faultDelayed = 0;
+
+    void
+    schedule(Tick when, int phase, std::function<void()> fn)
+    {
+        events.push(Ev{when, phase, evSeq++, std::move(fn)});
+    }
+
+    void
+    deliver(std::size_t i, NodeId node)
+    {
+        out[i] = Delivered{now, node};
+        perNode[node].push_back(i);
+    }
+
+    void
+    send(std::size_t i, const SendSpec &s)
+    {
+        const std::uint64_t seq = ++srcSeq[s.src];
+        if (s.src == s.dst) {
+            schedule(now + cfg.localLatency, 1,
+                     [this, i, s]() { deliver(i, s.dst); });
+            return;
+        }
+        Message m;
+        m.type = s.type;
+        const Tick occ = std::max<Tick>(1, m.sizeBytes() /
+                                               cfg.niBytesPerCycle);
+        Tick inject = std::max(now, egressFree[s.src]);
+        Tick fd = 0;
+        if (faults) {
+            const Tick clear = faults->stallClearTick(s.src, inject);
+            fd += clear - inject;
+            inject = clear;
+        }
+        egressFree[s.src] = inject + occ;
+        const Tick extra =
+            faults ? faults->extraLatency(s.src, s.dst, inject) : 0;
+        fd += extra;
+        Tick arrive =
+            inject + occ + cfg.hopLatency * topo.hops(s.src, s.dst) + extra;
+        if (faults && faults->anyLatencyFaults()) {
+            Tick &last = lastArrive[{s.src, s.dst}];
+            arrive = std::max(arrive, last);
+            last = arrive;
+        }
+        heaps[s.dst].push(Arrival{arrive, occ, fd, s.src, seq, i});
+        if (armed[s.dst].insert(arrive).second)
+            schedule(arrive, 0, [this, dst = s.dst]() { drain(dst); });
+    }
+
+    void
+    drain(NodeId dst)
+    {
+        armed[dst].erase(now);
+        auto &h = heaps[dst];
+        while (!h.empty() && h.top().arrive == now) {
+            const Arrival a = h.top();
+            h.pop();
+            Tick eject = std::max(a.arrive, ingressFree[dst]);
+            Tick fd = a.faultDelay;
+            if (faults) {
+                const Tick clear = faults->stallClearTick(dst, eject);
+                fd += clear - eject;
+                eject = clear;
+            }
+            ingressFree[dst] = eject + a.occupancy;
+            faultDelayed += fd != 0;
+            schedule(eject + a.occupancy, 1,
+                     [this, i = a.msg, dst]() { deliver(i, dst); });
+        }
+    }
+
+    void
+    run(const std::vector<SendSpec> &sends)
+    {
+        out.assign(sends.size(), Delivered{});
+        for (std::size_t i = 0; i < sends.size(); ++i)
+            schedule(sends[i].at, 1,
+                     [this, i, &sends]() { send(i, sends[i]); });
+        while (!events.empty()) {
+            Ev e = events.top();
+            events.pop();
+            now = e.when;
+            e.fn();
+            ++executed;
+        }
+    }
+};
+
+/** The real network under @p shards kernel shards, same sends. */
+struct RealRun
+{
+    std::vector<Delivered> out;
+    std::vector<std::vector<std::size_t>> perNode{16};
+    EventQueueStats stats;
+    std::uint64_t faultDelayed = 0;
+};
+
+struct IndexSink : MessageHandler
+{
+    EventQueue *eq = nullptr;
+    NodeId node = 0;
+    RealRun *run = nullptr;
+
+    void
+    handleMessage(const Message &msg) override
+    {
+        const std::size_t i = static_cast<std::size_t>(msg.version);
+        run->out[i] = Delivered{eq->curTick(), node};
+        run->perNode[node].push_back(i);
+    }
+};
+
+RealRun
+runReal(const std::vector<SendSpec> &sends, unsigned shards,
+        const FaultPlan *faults)
+{
+    RealRun r;
+    r.out.assign(sends.size(), Delivered{});
+    SimKernel kernel(ShardMap::leafAligned(16, 8, shards), 1 + 100,
+                     1 + FatTreeTopology(16, 8)
+                             .minCrossLeafLatencyTicks(100));
+    Network net(kernel.queue(0), 16);
+    net.attachKernel(kernel);
+    if (faults)
+        net.setFaultPlan(faults);
+    IndexSink sinks[16];
+    for (NodeId n = 0; n < 16; ++n) {
+        sinks[n].eq = &kernel.queueForNode(n);
+        sinks[n].node = n;
+        sinks[n].run = &r;
+        net.registerHandler(n, &sinks[n]);
+    }
+    for (std::size_t i = 0; i < sends.size(); ++i) {
+        const SendSpec s = sends[i];
+        kernel.queueForNode(s.src).schedule(s.at, [&net, s, i]() {
+            Message m;
+            m.type = s.type;
+            m.src = s.src;
+            m.dst = s.dst;
+            m.version = i;
+            net.send(m);
+        });
+    }
+    kernel.run();
+    r.stats = kernel.aggregateStats();
+    r.faultDelayed = net.faultDelayedMessages();
+    return r;
+}
+
+} // namespace
+
+TEST(NetworkOracle, RandomSendsMatchTheHeapAndDrainModel)
+{
+    for (const bool faulted : {false, true}) {
+        FaultConfig f;
+        f.enabled = true;
+        f.stallNodeFraction = 0.5;
+        f.stallPeriod = 3000;
+        f.stallDuration = 400;
+        f.grayLinkFraction = 0.3;
+        f.grayExtraLatency = 150;
+        f.grayPeriod = 2500;
+        f.grayDuration = 800;
+        const FaultPlan plan(f, 16, Rng(11));
+        const FaultPlan *faults = faulted ? &plan : nullptr;
+        for (std::uint64_t seed : {1ull, 7ull, 2024ull}) {
+            SCOPED_TRACE(std::string(faulted ? "stalls" : "clean") +
+                         " seed " + std::to_string(seed));
+            Rng rng(seed);
+            std::vector<SendSpec> sends;
+            for (int i = 0; i < 400; ++i) {
+                SendSpec s;
+                // Bursty send ticks so ports contend.
+                s.at = (rng.next() % 60) * (rng.next() % 2 ? 1 : 37);
+                s.src = static_cast<NodeId>(rng.next() % 16);
+                // Mostly near (same leaf), some far, a few local.
+                const std::uint64_t k = rng.next() % 16;
+                s.dst = k < 8 ? static_cast<NodeId>((s.src & ~7u) |
+                                                    (k & 7))
+                              : static_cast<NodeId>(rng.next() % 16);
+                s.type = rng.next() % 3 ? MsgType::ReqShared
+                                        : MsgType::RespSharedData;
+                sends.push_back(s);
+            }
+            DrainModel ref;
+            ref.faults = faults;
+            ref.run(sends);
+            for (unsigned shards : {1u, 2u}) {
+                SCOPED_TRACE(std::to_string(shards) + " shard(s)");
+                const RealRun got = runReal(sends, shards, faults);
+                for (std::size_t i = 0; i < sends.size(); ++i) {
+                    EXPECT_EQ(got.out[i].when, ref.out[i].when)
+                        << "message " << i;
+                    EXPECT_EQ(got.out[i].node, ref.out[i].node);
+                }
+                EXPECT_EQ(got.perNode, ref.perNode);
+                EXPECT_EQ(got.stats.executed, ref.executed);
+                EXPECT_EQ(got.stats.scheduled, ref.executed);
+                EXPECT_EQ(got.faultDelayed, ref.faultDelayed);
+            }
+            if (faulted) {
+                EXPECT_GT(ref.faultDelayed, 0u);
+            }
+        }
     }
 }
 

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <queue>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "src/net/topology.hh"
@@ -193,7 +192,9 @@ namespace
 /**
  * A miniature network over the raw kernel, mirroring the real one's
  * unified delivery semantics: every message lands in a per-destination
- * min-heap keyed (arrive, src, seq) and is drained by a phase-0 event,
+ * min-heap keyed (arrive, src, seq) and gets one keyed event, a few
+ * ticks after its arrival and positioned at it, that takes every
+ * pending message up to its own off the heap in content order --
  * whether it crossed a shard boundary (via the barrier-flushed
  * channels) or not (inserted directly by the source's own worker).
  * Nodes fire randomly, message each other at latencies >= the
@@ -236,7 +237,6 @@ struct StressNet
     std::vector<
         std::priority_queue<Msg, std::vector<Msg>, std::greater<Msg>>>
         heaps{kNodes};
-    std::vector<std::unordered_set<Tick>> armed{kNodes};
     std::vector<std::vector<Msg>> channels;
     std::vector<std::uint64_t> srcSeq =
         std::vector<std::uint64_t>(kNodes, 0);
@@ -269,19 +269,22 @@ struct StressNet
     void
     deliver(Msg m)
     {
-        EventQueue &q = kernel.queueForNode(m.dst);
         heaps[m.dst].push(m);
-        if (armed[m.dst].insert(m.arrive).second) {
-            q.schedulePhase0(m.arrive, [this, dst = m.dst]() {
-                const Tick now = kernel.queueForNode(dst).curTick();
-                armed[dst].erase(now);
-                auto &h = heaps[dst];
-                while (!h.empty() && h.top().arrive == now) {
-                    const Msg m = h.top();
-                    h.pop();
-                    mix(dst, (std::uint64_t(m.src) << 32) ^ now);
-                }
-            });
+        kernel.queueForNode(m.dst).schedule(
+            m.arrive + 1 + (m.seq & 3), EventOrder{m.arrive, true},
+            [this, m]() { take(m); });
+    }
+
+    void
+    take(const Msg &m)
+    {
+        const Tick now = kernel.queueForNode(m.dst).curTick();
+        auto &h = heaps[m.dst];
+        while (!h.empty() && !(h.top() > m)) {
+            const Msg t = h.top();
+            h.pop();
+            mix(m.dst, (std::uint64_t(t.src) << 32) ^ (t.arrive << 8) ^
+                           now);
         }
     }
 

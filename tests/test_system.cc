@@ -267,3 +267,43 @@ TEST(SpinElision, StatsResetWhileParkedMatchesUnelidedRun)
                   runner::toJson(spun).dump(2));
     }
 }
+
+TEST(FoldedDrains, CountersArePinnedOnSmallRuns)
+{
+    // Each distinct (node, arrival tick) is one drain event folded
+    // into the deliveries, and a delivery whose port was busy at its
+    // arrival + occupancy re-arms once. Both are content-determined,
+    // so the sharded kernel reports the same values; a return of
+    // separate drain events would zero drainsFolded.
+    struct Case
+    {
+        const char *workload;
+        std::uint64_t executed;
+        std::uint64_t folded;
+        std::uint64_t rearms;
+    };
+    const Case cases[] = {
+        {"PCmicro", 254521, 5277, 802},
+        {"KVServe", 34898, 4251, 852},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.workload);
+        MachineConfig cfg;
+        std::string name;
+        ASSERT_TRUE(runner::namedMachineConfig("base", 16, cfg, name));
+        auto wl = runner::makeRunnerWorkload(c.workload, 16, 0.2);
+        for (unsigned shards : {1u, 2u}) {
+            cfg.shards = shards;
+            const RunResult r = runWorkload(cfg, *wl, name);
+            EXPECT_EQ(r.perf.eventsExecuted, c.executed);
+            EXPECT_EQ(r.perf.drainsFolded, c.folded);
+            EXPECT_EQ(r.perf.deliveryRearms, c.rearms);
+            // Timing documents only, like the elision counters.
+            EXPECT_EQ(runner::toJson(r, false).dump().find("drainsFolded"),
+                      std::string::npos);
+            EXPECT_NE(runner::toJson(r, true).dump().find(
+                          "\"deliveryRearms\""),
+                      std::string::npos);
+        }
+    }
+}
