@@ -44,12 +44,6 @@ Network::attachKernel(SimKernel &kernel)
         [this](unsigned dst_shard) { flushShard(dst_shard); });
 }
 
-unsigned
-Network::callerShard() const
-{
-    return currentShardId();
-}
-
 void
 Network::registerHandler(NodeId node, MessageHandler *handler)
 {
@@ -61,7 +55,10 @@ Network::registerHandler(NodeId node, MessageHandler *handler)
 void
 Network::send(const Message &msg)
 {
-    Message *pm = acquireMessage();
+    // Checked before the sender's shard picks the pool.
+    if (msg.src >= _handlers.size())
+        panic("send: bad endpoints %u -> %u", msg.src, msg.dst);
+    Message *pm = acquireMessage(msg.src);
     *pm = msg;
     sendAcquired(pm);
 }
@@ -101,7 +98,7 @@ Network::sendAcquired(Message *pm)
         const Tick deliver = now + _cfg.localLatency;
         _nodeQueue[src]->schedule(deliver, [this, handler, pm]() {
             handler->handleMessage(*pm);
-            releaseMessage(pm);
+            _pools[_shardOf[pm->src]]->release(pm);
         });
         return;
     }

@@ -98,18 +98,16 @@ class Network : public SimObject
      * via sendAcquired(). The delivery closure then captures only a
      * pointer (24 bytes instead of a by-value Message copy) and the
      * storage is recycled after the handler runs. Pools are per
-     * shard: acquire takes from the calling shard's pool and release
-     * returns to the calling shard's pool (slabs live until the
-     * network dies, so cross-shard frees are safe).
+     * shard, and each is only touched by its shard's worker: a sender
+     * acquires from its own node's shard, and a delivery releases to
+     * the destination's (slabs live until the network dies, so a
+     * message may return to a pool other than the one it came from).
      */
     /// @{
-    Message *acquireMessage()
+    /** Pooled storage for a message that node @p src will send. */
+    Message *acquireMessage(NodeId src)
     {
-        return _pools[callerShard()]->acquire();
-    }
-    void releaseMessage(Message *pm)
-    {
-        _pools[callerShard()]->release(pm);
+        return _pools[_shardOf[src]]->acquire();
     }
     /** Inject a message previously obtained from acquireMessage().
      *  Ownership passes to the network; storage is recycled after
@@ -229,7 +227,6 @@ class Network : public SimObject
         void reset();
     };
 
-    unsigned callerShard() const;
     EventQueue &queueOf(NodeId node) { return *_nodeQueue[node]; }
     void insertArrival(Route *r);
     /** The delivery event of @p r: book, then deliver or re-arm. */

@@ -51,7 +51,7 @@ Hub::send(const Message &msg)
 {
     if (_observer)
         _observer->noteSend(msg);
-    Message *pm = _net.acquireMessage();
+    Message *pm = _net.acquireMessage(_id);
     *pm = msg;
     pm->src = _id;
     _net.sendAcquired(pm);
@@ -62,7 +62,7 @@ Hub::sendAt(Tick when, const Message &msg)
 {
     if (_observer)
         _observer->noteSend(msg);
-    Message *pm = _net.acquireMessage();
+    Message *pm = _net.acquireMessage(_id);
     *pm = msg;
     pm->src = _id;
     _eq.schedule(when, [this, pm]() { _net.sendAcquired(pm); });

@@ -46,6 +46,10 @@
  * byte-identical across thread counts, shard counts and hosts — the
  * repo-wide guarantee the determinism checks diff. Opting in (pcsim
  * --timing) trades that diffability for throughput visibility.
+ * "overflowEvents" counts events queued at or beyond the event
+ * calendar's sliding horizon (the heap path) and "windowAdvances" the
+ * tick advances that migrated at least one of them into the ring; on
+ * the sequential kernel both are content-determined.
  */
 
 #ifndef PCSIM_RUNNER_RESULTS_HH

@@ -9,17 +9,16 @@
  * order, so a simulation run is fully reproducible for a given seed.
  *
  * Internals (see DESIGN.md, "Simulation kernel internals"): the queue
- * is a two-level calendar. Events within a 4096-tick window of the
- * current one land in per-tick lists of pooled event nodes, sorted by
- * position and FIFO within a position. Most inserts append; only an
- * event positioned ahead of the list's tail (a resumed spin event, or
- * one queued before a remote delivery's future arrival tick) walks
- * the list. Rarer far-future events wait in a (tick, position,
- * seq)-ordered binary heap and migrate into the lists when their
- * window becomes current. A callback is constructed in place inside a
- * recycled node and never moves afterwards, so the common
- * scheduleIn(delta, lambda) path performs zero heap allocations and
- * reuses cache-warm storage.
+ * is a calendar with a sliding horizon. Events due less than `horizon`
+ * ticks ahead sit in a ring of per-tick lists of pooled event nodes,
+ * sorted by position and FIFO within a position. Most inserts append;
+ * only an event positioned ahead of the list's tail (a resumed spin
+ * event, or one queued before a remote delivery's future arrival
+ * tick) walks the list. Later events wait in a (tick, position,
+ * seq)-ordered heap and move into the ring at the first tick advance
+ * that covers them, before that tick's events queue anything. A
+ * callback is constructed in place inside a recycled node and never
+ * moves, so scheduleIn(delta, lambda) performs zero heap allocations.
  */
 
 #ifndef PCSIM_SIM_EVENT_QUEUE_HH
@@ -51,9 +50,10 @@ struct EventQueueStats
     std::uint64_t inlineCallbacks = 0;
     /** Callbacks that fell back to a heap allocation. */
     std::uint64_t heapCallbacks = 0;
-    /** Events scheduled beyond the near-future window. */
+    /** Events queued at or beyond the horizon (heap path). */
     std::uint64_t overflowEvents = 0;
-    /** Calendar-window advances (overflow migrations). */
+    /** Tick advances that migrated at least one heap event into the
+     *  ring. */
     std::uint64_t windowAdvances = 0;
     /** Events a component skipped and credited with creditElided();
      *  already included in executed / scheduled / inlineCallbacks. */
@@ -107,10 +107,22 @@ struct EventOrder
 class EventQueue
 {
   public:
-    /** Inline callback capacity per event node: sized for the largest
-     *  hot protocol closure (a controller pointer plus one 64-byte
-     *  Message). Larger callables fall back to one heap allocation. */
+    /** Inline callback capacity per event node: room for the largest
+     *  hot closure, a cache controller's conflict retry (a pointer, a
+     *  write flag, an address, a retry count and a std::function).
+     *  Messages are pooled, so network and hub closures capture
+     *  [this, pointer]. Larger callables fall back to one heap
+     *  allocation. */
     static constexpr std::size_t inlineCallbackBytes = 80;
+
+    /** log2 of the calendar horizon, in ticks. 8192 covers every
+     *  latency in Table 1 (hops, DRAM, NI occupancy) and nearly every
+     *  NACK retry backoff: on KVServe-256, 109 of 2.07M events are due
+     *  further ahead; 4096 left 91,403 of them in the heap. */
+    static constexpr unsigned kLogBuckets = 13;
+    /** An event due fewer than this many ticks after curTick() is
+     *  queued in the O(1) ring; a later one waits in the heap. */
+    static constexpr Tick horizon = Tick(1) << kLogBuckets;
 
     EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
@@ -294,7 +306,6 @@ class EventQueue
     {
         destroyPending();
         _ringCount = 0;
-        _curWindow = 0;
         _curTick = 0;
         _nextFarSeq = 0;
         _runningOrder = 0;
@@ -307,14 +318,8 @@ class EventQueue
     const EventQueueStats &stats() const { return _stats; }
 
   private:
-    /** log2 of the near-future horizon, in ticks. 4096 covers every
-     *  latency in Table 1 (hops, DRAM, NI occupancy, retry backoff)
-     *  so virtually all protocol events take the in-window path. */
-    static constexpr unsigned kLogBuckets = 12;
-    static constexpr std::size_t kNumBuckets = std::size_t(1)
-                                               << kLogBuckets;
-    static constexpr Tick kSlotMask = kNumBuckets - 1;
-    static constexpr std::size_t kWords = kNumBuckets / 64;
+    static constexpr Tick kSlotMask = horizon - 1;
+    static constexpr std::size_t kWords = horizon / 64;
     static constexpr std::size_t kNodesPerSlab = 256;
 
     /**
@@ -348,7 +353,7 @@ class EventQueue
         EventNode *tail = nullptr;
     };
 
-    /** An event beyond the near horizon, heap-ordered by (when,
+    /** An event at or beyond the horizon, heap-ordered by (when,
      *  order, seq). */
     struct FarEvent
     {
@@ -449,11 +454,11 @@ class EventQueue
 
     /** Queue @p n at tick @p when: into its slot after every node at
      *  or before its position, or into the overflow heap when the
-     *  tick lies beyond the current window. */
+     *  tick lies beyond the horizon. */
     void
     link(Tick when, EventNode *n)
     {
-        if ((when >> kLogBuckets) != _curWindow) {
+        if (when - _curTick >= horizon) {
             ++_stats.overflowEvents;
             _overflow.push_back(
                 FarEvent{when, n->order, _nextFarSeq++, n});
@@ -483,49 +488,34 @@ class EventQueue
         }
     }
 
-    /** First occupied slot >= from, or -1. */
-    int
+    /** First occupied slot at or after @p from, wrapping around the
+     *  ring (which must not be empty). */
+    std::size_t
     nextOccupied(std::size_t from) const
     {
         std::size_t word = from >> 6;
-        if (word >= kWords)
-            return -1;
         std::uint64_t bits = _occupied[word] &
                              (~std::uint64_t(0) << (from & 63));
-        while (true) {
+        for (std::size_t i = 0; i <= kWords; ++i) {
             if (bits)
-                return static_cast<int>((word << 6) +
-                                        __builtin_ctzll(bits));
-            if (++word >= kWords)
-                return -1;
+                return (word << 6) + __builtin_ctzll(bits);
+            word = (word + 1) % kWords;
             bits = _occupied[word];
         }
+        panic("event ring count %llu but no occupied slot",
+              (unsigned long long)_ringCount);
     }
 
-    /** Slot scanning starts at curTick when it lies in the current
-     *  window (earlier slots are already drained), else at 0 (the
-     *  window was advanced ahead of curTick by a migration). */
-    std::size_t
-    scanStart() const
-    {
-        return (_curTick >> kLogBuckets) == _curWindow
-                   ? static_cast<std::size_t>(_curTick & kSlotMask)
-                   : 0;
-    }
-
-    /** Tick of the next event, without executing. In-window events
-     *  always precede overflow events (the overflow holds later
-     *  windows only), so the ring is authoritative while non-empty. */
+    /** Tick of the next event, without executing. Ring events lie
+     *  below curTick + horizon and overflow events at or beyond it,
+     *  so the ring is authoritative while non-empty. */
     bool
     findNextTick(Tick &when) const
     {
         if (_ringCount) {
-            const int slot = nextOccupied(scanStart());
-            if (slot < 0)
-                panic("event ring count %llu but no occupied slot",
-                      (unsigned long long)_ringCount);
-            when = (_curWindow << kLogBuckets) |
-                   static_cast<Tick>(slot);
+            const std::size_t start =
+                static_cast<std::size_t>(_curTick & kSlotMask);
+            when = _curTick + ((nextOccupied(start) - start) & kSlotMask);
             return true;
         }
         if (!_overflow.empty()) {
@@ -535,23 +525,22 @@ class EventQueue
         return false;
     }
 
-    /** Make the overflow's earliest window current, migrating its
-     *  events into the (empty) ring. They leave the heap in (when,
-     *  order, seq) order, so each slot fills already sorted. */
+    /** Move every overflow event the horizon now covers into the
+     *  ring. No event of those ticks is in the ring yet, and they
+     *  leave the heap in (when, order, seq) order, so each slot fills
+     *  already sorted. */
     void
-    advanceWindow()
+    migrate()
     {
-        const std::uint64_t w = _overflow.front().when >> kLogBuckets;
-        _curWindow = w;
         ++_stats.windowAdvances;
-        while (!_overflow.empty() &&
-               (_overflow.front().when >> kLogBuckets) == w) {
+        do {
             std::pop_heap(_overflow.begin(), _overflow.end(),
                           FarLater{});
             const FarEvent fe = _overflow.back();
             _overflow.pop_back();
             link(fe.when, fe.node);
-        }
+        } while (!_overflow.empty() &&
+                 _overflow.front().when - _curTick < horizon);
     }
 
     /** Execute the next event; @p when must come from findNextTick.
@@ -559,8 +548,14 @@ class EventQueue
     unsigned
     executeOne(Tick when)
     {
-        if (!_ringCount)
-            advanceWindow();
+        if (when != _curTick) {
+            // Advance first, so far events reach the ring ahead of
+            // anything the new tick's events link.
+            _curTick = when;
+            if (!_overflow.empty() &&
+                _overflow.front().when - when < horizon)
+                migrate();
+        }
         const std::size_t slot =
             static_cast<std::size_t>(when & kSlotMask);
         Slot &s = _slots[slot];
@@ -568,13 +563,12 @@ class EventQueue
         // events to this very slot.
         EventNode *n = s.head;
         s.head = n->next;
+        --_ringCount;
         if (!s.head) {
             s.tail = nullptr;
             _occupied[slot >> 6] &=
                 ~(std::uint64_t(1) << (slot & 63));
         }
-        --_ringCount;
-        _curTick = when;
         _runningOrder = n->order;
         n->invoke(n->buf);
         if (_rearmAt) {
@@ -615,10 +609,9 @@ class EventQueue
         _overflow.clear();
     }
 
-    Slot _slots[kNumBuckets];
+    Slot _slots[horizon];
     std::uint64_t _occupied[kWords] = {};
     std::uint64_t _ringCount = 0;
-    std::uint64_t _curWindow = 0;
 
     std::vector<FarEvent> _overflow;
     std::uint64_t _nextFarSeq = 0;

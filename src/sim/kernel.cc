@@ -8,19 +8,6 @@
 namespace pcsim
 {
 
-namespace
-{
-
-thread_local unsigned tlsShardId = 0;
-
-} // namespace
-
-unsigned
-currentShardId()
-{
-    return tlsShardId;
-}
-
 ShardMap
 ShardMap::leafAligned(unsigned num_nodes, unsigned radix,
                       unsigned requested)
@@ -157,7 +144,6 @@ SimKernel::runParallel(Tick limit)
 void
 SimKernel::workerLoop(unsigned shard, Tick limit)
 {
-    tlsShardId = shard;
     EventQueue &q = *_queues[shard];
     while (true) {
         // (1) every shard finished the previous window (or is just
@@ -177,7 +163,6 @@ SimKernel::workerLoop(unsigned shard, Tick limit)
         const std::uint64_t n = q.run(std::min(_windowEnd - 1, limit));
         _executed.fetch_add(n, std::memory_order_relaxed);
     }
-    tlsShardId = 0;
 }
 
 void

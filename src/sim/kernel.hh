@@ -37,10 +37,6 @@
 namespace pcsim
 {
 
-/** Shard id of the calling thread (0 outside worker execution);
- *  selects per-shard pools and stat banks in the network. */
-unsigned currentShardId();
-
 /** Leaf-router-aligned node -> shard assignment. */
 struct ShardMap
 {

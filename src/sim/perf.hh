@@ -37,9 +37,11 @@ struct RunPerf
     std::uint64_t inlineCallbacks = 0;
     /** Callbacks that fell back to a heap allocation. */
     std::uint64_t heapCallbacks = 0;
-    /** Events scheduled beyond the near-future bucket horizon. */
+    /** Events queued at or beyond the calendar's sliding horizon
+     *  (EventQueue::horizon ticks ahead), i.e. on the heap path. */
     std::uint64_t overflowEvents = 0;
-    /** Calendar-window advances (overflow migrations). */
+    /** Tick advances that migrated at least one heap event into the
+     *  calendar ring. */
     std::uint64_t windowAdvances = 0;
 
     // Barrier spin elision (src/cpu/barrier.hh). eventsExecuted counts

@@ -9,9 +9,10 @@
  * release: the next acquirer is expected to overwrite the full state
  * (coherence Messages are copy-assigned wholesale).
  *
- * Single-threaded by design -- one pool lives inside one simulated
- * machine, and a simulation runs on one thread (the experiment runner
- * parallelizes across independent System instances).
+ * Single-threaded by design: a pool is only touched by one thread at
+ * a time. The network keeps one per kernel shard and picks it by the
+ * node whose shard is running (the sender on acquire, the receiver on
+ * release), never by asking which thread is calling.
  */
 
 #ifndef PCSIM_SIM_POOL_HH

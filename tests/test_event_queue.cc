@@ -173,8 +173,8 @@ TEST(EventQueue, RunClearsStaleStopRequest)
 
 TEST(EventQueue, FarFutureEventsCrossWindows)
 {
-    // Deltas far beyond the 4096-tick near window exercise the
-    // overflow heap and window migration.
+    // Deltas far beyond the horizon exercise the overflow heap and
+    // its migration into the ring.
     EventQueue eq;
     std::vector<Tick> seen;
     for (Tick t : {Tick(1), Tick(5000), Tick(70000), Tick(4096),
@@ -203,6 +203,105 @@ TEST(EventQueue, SameTickFifoSurvivesWindowMigration)
     eq.schedule(far, [&]() { order.push_back(1); });
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(EventQueue, NearEventsStayInTheRingAcrossAlignedBoundaries)
+{
+    // The ring slides with curTick: an event 100 ticks ahead of tick
+    // 4090 stays on the O(1) path although it lies in the next
+    // 4096-tick block.
+    EventQueue eq;
+    std::vector<Tick> seen;
+    eq.schedule(4090, [&]() {
+        seen.push_back(eq.curTick());
+        eq.scheduleIn(100, [&]() { seen.push_back(eq.curTick()); });
+    });
+    eq.run();
+    EXPECT_EQ(seen, (std::vector<Tick>{4090, 4190}));
+    EXPECT_EQ(eq.stats().overflowEvents, 0u);
+    EXPECT_EQ(eq.stats().windowAdvances, 0u);
+}
+
+namespace
+{
+
+/**
+ * Queue a far event at tick horizon + 50 from tick 0 (heap path),
+ * then let @p partner queue another event for the same tick in the
+ * same position from tick 51, the first tick whose horizon covers it.
+ * The far event must have migrated into the ring on the advance to
+ * tick 51, ahead of anything tick 51 queues, so it runs first.
+ * @p far_at queues the far event; @p partner runs at tick 51.
+ */
+void
+checkMigrationKeepsFifo(
+    const std::function<void(EventQueue &, Tick, std::vector<char> &)>
+        &far_at,
+    const std::function<void(EventQueue &, Tick, std::vector<char> &)>
+        &partner)
+{
+    const Tick far = EventQueue::horizon + 50;
+    EventQueue eq;
+    std::vector<char> order;
+    far_at(eq, far, order);
+    EXPECT_EQ(eq.stats().overflowEvents, 1u);
+    eq.schedule(50, [&]() { EXPECT_EQ(eq.stats().windowAdvances, 0u); });
+    eq.schedule(51, [&]() {
+        EXPECT_EQ(eq.stats().windowAdvances, 1u);
+        partner(eq, far, order);
+    });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<char>{'f', 'p'}));
+    EXPECT_EQ(eq.stats().overflowEvents, 1u);
+    EXPECT_EQ(eq.stats().windowAdvances, 1u);
+}
+
+} // namespace
+
+TEST(EventQueue, MigrationKeepsFifoAgainstAPlainEvent)
+{
+    // A plain schedule from tick 51 is a normal event inserted at 51.
+    checkMigrationKeepsFifo(
+        [](EventQueue &eq, Tick far, std::vector<char> &order) {
+            eq.schedule(far, EventOrder{51, false},
+                        [&order]() { order.push_back('f'); });
+        },
+        [](EventQueue &eq, Tick far, std::vector<char> &order) {
+            eq.schedule(far, [&order]() { order.push_back('p'); });
+        });
+}
+
+TEST(EventQueue, MigrationKeepsFifoAgainstAnEarlyPositionedEvent)
+{
+    // Two remote deliveries arriving at the same tick, positioned
+    // EventOrder{arrive, true} like the network queues them.
+    const Tick arrive = EventQueue::horizon;
+    checkMigrationKeepsFifo(
+        [arrive](EventQueue &eq, Tick far, std::vector<char> &order) {
+            eq.schedule(far, EventOrder{arrive, true},
+                        [&order]() { order.push_back('f'); });
+        },
+        [arrive](EventQueue &eq, Tick far, std::vector<char> &order) {
+            eq.schedule(far, EventOrder{arrive, true},
+                        [&order]() { order.push_back('p'); });
+        });
+}
+
+TEST(EventQueue, MigrationKeepsFifoAgainstARearmedEvent)
+{
+    // Both queued by plain schedules at tick 0; the second runs at 51
+    // and re-arms itself for the far tick in its own position.
+    checkMigrationKeepsFifo(
+        [](EventQueue &eq, Tick far, std::vector<char> &order) {
+            eq.schedule(far, [&order]() { order.push_back('f'); });
+            eq.schedule(51, [&eq, &order, far]() {
+                if (eq.curTick() == far)
+                    order.push_back('p');
+                else
+                    eq.rearm(far);
+            });
+        },
+        [](EventQueue &, Tick, std::vector<char> &) {});
 }
 
 TEST(EventQueue, ResetAllowsFullReuse)
@@ -596,87 +695,124 @@ TEST(EventQueueDeath, RearmAtTheCurrentTickPanics)
     EXPECT_DEATH(eq.run(), "rearm at 10 from tick 10");
 }
 
+namespace
+{
+
+/**
+ * Plain, position-keyed (past, future, early and normal) and
+ * far-future events, some spawning more and some re-arming: the run
+ * order must be the stable sort of every queued (tick, position)
+ * pair, a re-arm counting as a fresh insertion. With
+ * @p horizon_edges, a share of the events is due within 32 ticks of
+ * the horizon, and the queue runs in run(limit) windows with events
+ * queued from outside between them, the way the sharded kernel
+ * flushes cross-shard deliveries at its barriers.
+ */
+void
+checkKeyedScheduleMatchesStableSort(std::uint64_t seed,
+                                    bool horizon_edges)
+{
+    EventQueue eq;
+    XorShift rng{seed};
+    struct Queued
+    {
+        Tick when;
+        std::uint64_t key;
+        std::uint64_t seq;
+        int id;
+    };
+    std::vector<Queued> queued;
+    std::vector<int> got;
+    int nextId = 0;
+
+    const auto pickWhen = [&](Tick from) -> Tick {
+        const std::uint64_t r = rng.next();
+        if (horizon_edges && (r >> 61) < 3)
+            return from + EventQueue::horizon - 32 + (r >> 8) % 65;
+        switch (r & 3) {
+        case 0: return from + r % 4;              // same-tick bursts
+        case 1: return from + r % 4096;           // in-window
+        case 2: return from + 4096 + r % 100000;  // a few windows out
+        default: return from + r % 5000000;       // far future
+        }
+    };
+    // Queue an event due at or after @p from (> curTick only from
+    // outside a run).
+    std::function<void(int, int, Tick)> queue = [&](int id, int depth,
+                                                    Tick from) {
+        const Tick now = eq.curTick();
+        const Tick when = pickWhen(from);
+        const std::uint64_t r = rng.next();
+        EventOrder pos{now, false};
+        const bool keyed = (r & 3) != 0;
+        if (keyed && when > now) {
+            // Anywhere from a while back to the event's own tick.
+            const Tick back = std::min<Tick>(now, (r >> 2) % 300);
+            pos.insertTick = now - back + (r >> 12) % (when - now + back + 1);
+            pos.early = (r >> 40) & 1;
+        }
+        queued.push_back(Queued{when, pos.key(),
+                                std::uint64_t(queued.size()), id});
+        auto body = [&, id, depth, reruns = 0]() mutable {
+            got.push_back(id);
+            const std::uint64_t c = rng.next();
+            if (reruns == 0 && (c & 7) == 0) {
+                ++reruns;
+                const Tick at = eq.curTick() + 1 + (c >> 3) % 9000;
+                id = nextId++;
+                queued.push_back(Queued{at, eq.runningOrder().key(),
+                                        std::uint64_t(queued.size()),
+                                        id});
+                eq.rearm(at);
+                return;
+            }
+            if (depth > 0 && (c & 0x30) == 0)
+                queue(nextId++, depth - 1, eq.curTick());
+        };
+        if (keyed)
+            eq.schedule(when, pos, std::move(body));
+        else
+            eq.schedule(when, std::move(body));
+    };
+
+    for (int i = 0; i < 400; ++i)
+        queue(nextId++, 3, eq.curTick());
+    if (horizon_edges) {
+        Tick next;
+        for (int stop = 0; stop < 300 && eq.peekNextTick(next); ++stop) {
+            const Tick limit = next + rng.next() % (2 * EventQueue::horizon);
+            eq.run(limit);
+            for (int k = 0; k < 3; ++k)
+                queue(nextId++, 1, limit + 1);
+        }
+    }
+    eq.run();
+
+    std::stable_sort(queued.begin(), queued.end(),
+                     [](const Queued &a, const Queued &b) {
+                         if (a.when != b.when)
+                             return a.when < b.when;
+                         return a.key < b.key;
+                     });
+    std::vector<int> want;
+    for (const Queued &q : queued)
+        want.push_back(q.id);
+    EXPECT_EQ(got, want) << "seed " << seed;
+    EXPECT_TRUE(eq.empty());
+}
+
+} // namespace
+
 TEST(EventQueue, RandomizedKeyedScheduleMatchesStableSort)
 {
-    // Plain, position-keyed (past, future, early and normal) and
-    // far-future events, some spawning more and some re-arming: the
-    // run order must be the stable sort of every queued (tick,
-    // position) pair, a re-arm counting as a fresh insertion.
-    for (std::uint64_t seed : {3ull, 77ull, 0xfeedfaceull}) {
-        EventQueue eq;
-        XorShift rng{seed};
-        struct Queued
-        {
-            Tick when;
-            std::uint64_t key;
-            std::uint64_t seq;
-            int id;
-        };
-        std::vector<Queued> queued;
-        std::vector<int> got;
-        int nextId = 0;
+    for (std::uint64_t seed : {3ull, 77ull, 0xfeedfaceull})
+        checkKeyedScheduleMatchesStableSort(seed, false);
+}
 
-        const auto pickWhen = [&](Tick now) {
-            const std::uint64_t r = rng.next();
-            switch (r & 3) {
-            case 0: return now + r % 4;              // same-tick bursts
-            case 1: return now + r % 4096;           // in-window
-            case 2: return now + 4096 + r % 100000;  // a few windows out
-            default: return now + r % 5000000;       // far future
-            }
-        };
-        std::function<void(int, int)> queue = [&](int id, int depth) {
-            const Tick now = eq.curTick();
-            const Tick when = pickWhen(now);
-            const std::uint64_t r = rng.next();
-            EventOrder pos{now, false};
-            const bool keyed = (r & 3) != 0;
-            if (keyed && when > now) {
-                // Anywhere from a while back to the event's own tick.
-                const Tick back = std::min<Tick>(now, (r >> 2) % 300);
-                pos.insertTick = now - back + (r >> 12) % (when - now + back + 1);
-                pos.early = (r >> 40) & 1;
-            }
-            queued.push_back(Queued{when, pos.key(),
-                                    std::uint64_t(queued.size()), id});
-            auto body = [&, id, depth, reruns = 0]() mutable {
-                got.push_back(id);
-                const std::uint64_t c = rng.next();
-                if (reruns == 0 && (c & 7) == 0) {
-                    ++reruns;
-                    const Tick at = eq.curTick() + 1 + (c >> 3) % 9000;
-                    id = nextId++;
-                    queued.push_back(Queued{at, eq.runningOrder().key(),
-                                            std::uint64_t(queued.size()),
-                                            id});
-                    eq.rearm(at);
-                    return;
-                }
-                if (depth > 0 && (c & 0x30) == 0)
-                    queue(nextId++, depth - 1);
-            };
-            if (keyed)
-                eq.schedule(when, pos, std::move(body));
-            else
-                eq.schedule(when, std::move(body));
-        };
-
-        for (int i = 0; i < 400; ++i)
-            queue(nextId++, 3);
-        eq.run();
-
-        std::stable_sort(queued.begin(), queued.end(),
-                         [](const Queued &a, const Queued &b) {
-                             if (a.when != b.when)
-                                 return a.when < b.when;
-                             return a.key < b.key;
-                         });
-        std::vector<int> want;
-        for (const Queued &q : queued)
-            want.push_back(q.id);
-        EXPECT_EQ(got, want) << "seed " << seed;
-        EXPECT_TRUE(eq.empty());
-    }
+TEST(EventQueue, HorizonEdgesAndRunLimitsMatchStableSort)
+{
+    for (std::uint64_t seed : {5ull, 99ull, 0xc0ffeeull})
+        checkKeyedScheduleMatchesStableSort(seed, true);
 }
 
 TEST(EventQueue, CreditElidedCountsModelEvents)

@@ -171,6 +171,16 @@ TEST_F(NetFixture, LocalMessagesBypassTheWires)
     EXPECT_EQ(net.numLocalMessages(), 1u);
 }
 
+using NetFixtureDeathTest = NetFixture;
+
+TEST_F(NetFixtureDeathTest, OutOfRangeEndpointsPanic)
+{
+    // The sender's node picks the message pool, so its id is checked
+    // before any lookup.
+    EXPECT_DEATH(net.send(msg(16, 0)), "bad endpoints 16 -> 0");
+    EXPECT_DEATH(net.send(msg(0, 16)), "bad endpoints 0 -> 16");
+}
+
 TEST_F(NetFixture, EgressPortSerializesInjection)
 {
     // Two back-to-back sends from node 0 to different destinations:
