@@ -31,10 +31,7 @@
 #include "src/runner/sweep.hh"
 #include "src/runner/trace_cmd.hh"
 #include "src/trace/format.hh"
-#include "src/verify/lint.hh"
-#include "src/verify/liveness.hh"
-#include "src/verify/mdg.hh"
-#include "src/verify/spec.hh"
+#include "src/verify/check.hh"
 
 using namespace pcsim;
 
@@ -71,8 +68,8 @@ const CommandInfo commandTable[] = {
     {"qos", "[--scenario a,b] [--arbitration a,b] [options]",
      "fairness bake-off of the directory arbitration modes"},
     {"lint",
-     "[--liveness|--mdg] [--no-mc] [--policy P] "
-     "[--coverage results.json] [options]",
+     "[--policy P|all] [--json PATH] [--repro PATH] "
+     "| --coverage results.json",
      "static checks of the protocol transition specs"},
     {"list", "", "list workloads and configuration presets"},
     {"help", "", "show this text"},
@@ -103,34 +100,22 @@ const HelpSection helpSections[] = {
 "                         (fails the run on out-of-spec transitions\n"
 "                         and records transition coverage)\n"},
     {"lint",
-"lint (static checks of the declarative protocol transition specs):\n"
-"  --no-mc                skip the model-checker cross-check\n"
-"                         (--no-mc, --csv and --coverage belong to the\n"
-"                         spec lint; --mdg and --liveness reject them)\n"
-"  --policy P             spec to lint: one registered policy name\n"
+"lint (every static analysis of each policy's transition spec in one\n"
+"pass: the static spec passes, the exhaustive cross-check against the\n"
+"src/mc model, the message-dependency graph and liveness over the\n"
+"explored model graphs; one report per distinct spec):\n"
+"  --policy P             policies to lint: a registered policy name\n"
 "                         (mesi-dir, delegation, delegation-updates,\n"
 "                         write-update, adaptive-hybrid) or 'all'\n"
-"                         (default: delegation-updates, the shipped\n"
-"                         full-protocol spec)\n"
-"  --coverage PATH        report never-exercised legal transitions of\n"
-"                         the full-protocol spec from a results JSON\n"
-"                         written by runs with --conformance (takes\n"
-"                         no --policy or --no-mc)\n"
-"  --mdg                  message-dependency-graph pass: derive the\n"
-"                         type-level dependence graph from the spec's\n"
-"                         allowed-sends sets and flag channel-class\n"
-"                         cycles, unprotected request forwards,\n"
-"                         undeliverable sends and per-rule channel-\n"
-"                         capacity violations (default policy: all)\n"
-"  --liveness             liveness pass (not with --mdg): explore the\n"
-"                         src/mc model's state graph and flag livelock\n"
-"                         lassos (non-progress cycles under fairness)\n"
-"                         and hard deadlocks, with step-by-step\n"
-"                         witnesses (default policy: all). The spec\n"
-"                         lint's cross-check reuses the same\n"
-"                         explorations: one per model config\n"
-"  --repro PATH           with --liveness: write the first witness's\n"
-"                         CPU-op schedule as a replayable PCTR trace\n"
+"                         (default: all)\n"
+"  --json PATH            write the report as JSON; '-' = stdout\n"
+"  --repro PATH           write the first liveness witness's CPU-op\n"
+"                         schedule as a replayable PCTR trace\n"
+"  --coverage PATH        instead, report never-exercised legal\n"
+"                         transitions of the full-protocol spec from a\n"
+"                         results JSON written by runs with\n"
+"                         --conformance (--json/--csv PATH write it;\n"
+"                         takes no --policy or --repro)\n"
 "  exit status: 0 clean, 1 usage/io error, 2 findings\n"},
     {"sweep",
 "sweep (paper figures and tables):\n"
@@ -181,7 +166,7 @@ const HelpSection helpSections[] = {
 "                         cycles) instead of simulating\n"
 "  --config C             (replay) override the header's machine\n"
 "                         preset (ingested traces default to base)\n"},
-    {"run sweep scale serve compare faults qos trace lint",
+    {"run sweep scale serve compare faults qos trace",
 "common options:\n"
 "  -j N, --jobs N         worker threads; 0 = all cores\n"
 "                         (default: 1 for run, all cores for sweep)\n"
@@ -283,11 +268,9 @@ struct Options
     /** Grid selection for the sweep presets (run, serve, compare,
      *  scale, faults, qos, sweep); trace record reads it too. */
     runner::SweepAxes axes;
-    bool lintMc = true;           ///< lint: run the model cross-check
-    std::string lintPolicy;       ///< lint: policy spec name or "all"
+    std::string lintPolicy;       ///< lint: policy name or "all"
     std::string coveragePath;     ///< lint: results doc for coverage
-    std::string lintMode;         ///< lint: "", "mdg" or "liveness"
-    std::string reproPath;        ///< lint --liveness: PCTR repro out
+    std::string reproPath;        ///< lint: PCTR liveness repro out
     /** Output flags (-j, --json, --csv, --timing, ...); lint and
      *  trace read them too. */
     runner::SweepOptions out;
@@ -494,22 +477,12 @@ parseArgs(int argc, char **argv, Options &opt, int first = 2)
             axes.checker = true;
         } else if (arg == "--conformance") {
             axes.conformance = true;
-        } else if (arg == "--no-mc") {
-            opt.lintMc = false;
         } else if (arg == "--policy") {
             if (!text(opt.lintPolicy))
                 return false;
         } else if (arg == "--coverage") {
             if (!text(opt.coveragePath))
                 return false;
-        } else if (arg == "--mdg" || arg == "--liveness") {
-            const std::string mode = arg.substr(2);
-            if (!opt.lintMode.empty() && opt.lintMode != mode) {
-                std::fprintf(stderr, "pcsim lint: --mdg and --liveness "
-                                     "are separate passes (pick one)\n");
-                return false;
-            }
-            opt.lintMode = mode;
         } else if (arg == "--repro") {
             if (!text(opt.reproPath))
                 return false;
@@ -541,20 +514,12 @@ listCommand()
         std::printf("  %s\n", w.c_str());
     std::printf("\nconfigurations (16-node presets, see "
                 "src/system/presets.hh):\n");
-    const char *const configs[][2] = {
-        {"base", "baseline directory protocol"},
-        {"rac32k", "base + 32K remote access cache (alias: rac)"},
-        {"rac1m", "base + 1M remote access cache"},
-        {"small", "32-entry deledc & 32K RAC (alias: pcopt)"},
-        {"large", "1K-entry deledc & 1M RAC (alias: pcopt-large)"},
-        {"delegation", "delegation without speculative updates"},
-        {"write-update",
-         "Dragon-style write-update protocol (alias: update)"},
-        {"adaptive-hybrid", "write-update with per-line "
-                            "self-invalidation (alias: adaptive)"},
-    };
-    for (const auto &[name, what] : configs)
-        std::printf("  %-12s %s\n", name, what);
+    for (const runner::ConfigEntry &e : runner::configEntries()) {
+        std::string what = e.description;
+        if (e.alias[0])
+            what += std::string(" (alias: ") + e.alias + ")";
+        std::printf("  %-15s %s\n", e.name, what.c_str());
+    }
     std::printf("\ncoherence policies (pcsim compare / lint "
                 "--policy):\n");
     for (ProtocolKind kind : registeredPolicyKinds())
@@ -587,6 +552,15 @@ presetCommand(const Options &opt)
 int
 lintCoverage(const Options &opt)
 {
+    // Coverage folds onto the full-protocol spec alone.
+    const char *flag = !opt.lintPolicy.empty()  ? "--policy"
+                       : !opt.reproPath.empty() ? "--repro"
+                                                : nullptr;
+    if (flag) {
+        std::fprintf(stderr, "pcsim lint: %s does not apply to "
+                             "--coverage\n", flag);
+        return 1;
+    }
     const verify::TransitionSpec &spec = verify::protocolSpec();
 
     std::string text;
@@ -669,63 +643,29 @@ lintCoverage(const Options &opt)
     return io_ok ? 0 : 1;
 }
 
-/** Print lint findings, one line each: "kind: where: detail". */
+/** Print one spec's lint report: its policies and sizes, the model
+ *  explorations, then one line per finding ("kind: where: detail";
+ *  model findings name their config and list their witness). */
 void
-printFindings(const std::vector<verify::LintFinding> &findings)
+printLintReport(const verify::SpecReport &r)
 {
-    for (const auto &f : findings) {
-        std::string where = f.ctrl;
-        if (!f.state.empty())
-            where += " " + f.state;
-        if (!f.event.empty())
-            where += (where.empty() ? "" : " x ") + f.event;
-        std::printf("%s: %s: %s\n", f.kind.c_str(), where.c_str(),
-                    f.detail.c_str());
-    }
-}
-
-/** Print one policy's spec lint report (unlabeled for the default
- *  shipped spec). */
-void
-printLintReport(const verify::TransitionSpec &spec,
-                const verify::LintReport &rep, const std::string &label)
-{
-    if (!label.empty())
-        std::printf("policy %s:\n", label.c_str());
-    std::printf("spec: %zu rules, %zu impossible pairs\n",
-                spec.rules().size(), spec.impossible().size());
-    if (rep.mcConfigs) {
-        std::printf("model cross-check: %llu configs, %llu states, "
-                    "%llu distinct transitions\n",
-                    (unsigned long long)rep.mcConfigs,
-                    (unsigned long long)rep.mcStates,
-                    (unsigned long long)rep.mcObserved);
-    }
-    printFindings(rep.findings);
-    if (rep.clean())
-        std::printf("lint: clean\n");
-    else
-        std::printf("lint: %zu finding(s)\n", rep.findings.size());
-}
-
-void
-printMdgReport(const std::string &policy, const verify::MdgReport &rep)
-{
-    std::printf("policy %s: %zu message types, %zu edges, %zu sinks "
-                "(%llu requester-bound, %llu nack-protected edges "
-                "exempt)\n",
-                policy.c_str(), rep.messages.size(), rep.edges.size(),
-                rep.sinks.size(), (unsigned long long)rep.reissueEdges,
-                (unsigned long long)rep.nackProtectedEdges);
-    printFindings(rep.findings);
-}
-
-void
-printLivenessReport(const std::string &policy,
-                    const verify::LivenessReport &rep)
-{
-    std::printf("policy %s:\n", policy.c_str());
-    for (const auto &c : rep.configs) {
+    std::string policies;
+    for (const std::string &p : r.policies)
+        policies += (policies.empty() ? "" : ", ") + p;
+    std::printf("spec %s: %zu rules, %zu impossible pairs\n",
+                policies.c_str(), r.spec->rules().size(),
+                r.spec->impossible().size());
+    std::printf("  mdg: %zu message types, %zu edges, %zu sinks (%llu "
+                "requester-bound, %llu nack-protected edges exempt)\n",
+                r.mdg.messages.size(), r.mdg.edges.size(),
+                r.mdg.sinks.size(), (unsigned long long)r.mdg.reissueEdges,
+                (unsigned long long)r.mdg.nackProtectedEdges);
+    std::printf("  model cross-check: %llu configs, %llu states, %llu "
+                "distinct transitions\n",
+                (unsigned long long)r.lint.mcConfigs,
+                (unsigned long long)r.lint.mcStates,
+                (unsigned long long)r.lint.mcObserved);
+    for (const auto &c : r.liveness.configs) {
         std::printf("  config %s: %llu states, %llu edges (%llu "
                     "progress), %llu quiescent%s\n",
                     c.name.c_str(), (unsigned long long)c.states,
@@ -734,35 +674,37 @@ printLivenessReport(const std::string &policy,
                     (unsigned long long)c.quiescentStates,
                     c.completed ? "" : " [state limit hit]");
     }
-    for (const auto &f : rep.findings) {
+    for (const auto *list : {&r.lint.findings, &r.mdg.findings}) {
+        for (const auto &f : *list) {
+            std::string where = f.ctrl;
+            if (!f.state.empty())
+                where += " " + f.state;
+            if (!f.event.empty())
+                where += (where.empty() ? "" : " x ") + f.event;
+            std::printf("%s: %s: %s\n", f.kind.c_str(), where.c_str(),
+                        f.detail.c_str());
+        }
+    }
+    const auto printHops = [](const char *what,
+                              const std::vector<std::string> &hops) {
+        if (hops.empty())
+            return;
+        std::printf("  %s (%zu steps):\n", what, hops.size());
+        for (std::size_t i = 0; i < hops.size(); ++i)
+            std::printf("    %3zu. %s\n", i + 1, hops[i].c_str());
+    };
+    for (const auto &f : r.liveness.findings) {
         std::printf("%s (%s): %s\n", f.kind.c_str(), f.config.c_str(),
                     f.detail.c_str());
-        std::printf("  witness prefix (%zu steps):\n",
-                    f.witness.prefix.size());
-        for (std::size_t i = 0; i < f.witness.prefix.size(); ++i)
-            std::printf("    %3zu. %s\n", i + 1,
-                        f.witness.prefix[i].c_str());
-        if (!f.witness.cycle.empty()) {
-            std::printf("  non-progress cycle (%zu steps):\n",
-                        f.witness.cycle.size());
-            for (std::size_t i = 0; i < f.witness.cycle.size(); ++i)
-                std::printf("    %3zu. %s\n", i + 1,
-                            f.witness.cycle[i].c_str());
-        }
+        printHops("witness prefix", f.witness.prefix);
+        printHops("non-progress cycle", f.witness.cycle);
     }
 }
 
-/** One policy selected for a lint pass. */
-struct PolicySel
-{
-    std::string name; ///< "" for the unlabeled default spec
-    const verify::TransitionSpec *spec;
-    verify::McCheckSet set;
-};
-
 /** Resolve --policy ("" and "all" mean every registered policy). */
 bool
-resolvePolicies(const std::string &which, std::vector<PolicySel> &out)
+resolvePolicies(const std::string &which,
+                std::vector<verify::PolicySpec> &out)
 {
     const bool all = which.empty() || which == "all";
     ProtocolKind one{};
@@ -806,137 +748,54 @@ writeLivenessRepro(const std::string &path, const std::string &config,
     return true;
 }
 
-/** Reject lint flags the selected pass would silently ignore. */
-bool
-lintFlagsApply(const Options &opt, const std::string &mode)
-{
-    const char *flag = nullptr;
-    std::string pass;
-    if (mode != "spec") {
-        pass = "--" + mode;
-        if (!opt.out.csvPath.empty())
-            flag = "--csv";
-        else if (!opt.lintMc)
-            flag = "--no-mc";
-        else if (!opt.coveragePath.empty())
-            flag = "--coverage";
-    } else if (!opt.coveragePath.empty()) {
-        // Coverage folds onto the full-protocol spec alone.
-        pass = "--coverage";
-        if (!opt.lintPolicy.empty())
-            flag = "--policy";
-        else if (!opt.lintMc)
-            flag = "--no-mc";
-    }
-    if (flag) {
-        std::fprintf(stderr, "pcsim lint: %s does not apply to %s\n",
-                     flag, pass.c_str());
-        return false;
-    }
-    if (!opt.reproPath.empty() && mode != "liveness") {
-        std::fprintf(stderr, "pcsim lint: --repro needs --liveness\n");
-        return false;
-    }
-    if (!opt.out.csvPath.empty() && opt.lintPolicy == "all") {
-        std::fprintf(stderr, "pcsim lint: --policy=all cannot combine "
-                             "with --csv (lint one policy per CSV)\n");
-        return false;
-    }
-    return true;
-}
-
 /**
- * `pcsim lint`: one pass -- the spec lint, --mdg or --liveness -- over
- * each selected policy. A single-policy spec lint writes the classic
- * lintToJson document (and optionally CSV); every other run combines
- * per-policy fragments into one {"mode": ...} document. Exit 0 clean,
- * 1 usage/IO error, 2 findings.
+ * `pcsim lint`: every analysis of each selected policy's spec in one
+ * pass (src/verify/check.hh), one report per distinct spec. Exit 0
+ * clean, 1 usage/IO error, 2 findings.
  */
 int
 lintCommand(const Options &opt)
 {
-    const std::string mode = opt.lintMode.empty() ? "spec" : opt.lintMode;
-    if (!lintFlagsApply(opt, mode))
-        return 1;
     if (!opt.coveragePath.empty())
         return lintCoverage(opt);
-
-    std::vector<PolicySel> sels;
-    if (mode == "spec" && opt.lintPolicy.empty()) {
-        // Historical default: the shipped full-protocol spec, checked
-        // against the MESI-dir + delegation model family (keeps the
-        // committed lint_clean.json byte-identical).
-        sels.push_back({"", &verify::protocolSpec(),
-                        verify::McCheckSet::MesiDele});
-    } else if (!resolvePolicies(opt.lintPolicy, sels)) {
+    if (!opt.out.csvPath.empty()) {
+        std::fprintf(stderr,
+                     "pcsim lint: --csv applies only to --coverage\n");
         return 1;
     }
-    const bool classic = mode == "spec" && opt.lintPolicy != "all";
-    const bool print = opt.out.jsonPath != "-" && opt.out.csvPath != "-";
+    std::vector<verify::PolicySpec> policies;
+    if (!resolvePolicies(opt.lintPolicy, policies))
+        return 1;
+    const std::vector<verify::SpecReport> reports =
+        verify::checkPolicies(policies);
 
-    JsonValue policies = JsonValue::array();
-    JsonValue classic_doc;
-    std::string csv;
+    const bool print = opt.out.jsonPath != "-";
     std::size_t total = 0;
+    const verify::LivenessFinding *repro = nullptr;
+    for (const verify::SpecReport &r : reports) {
+        if (print)
+            printLintReport(r);
+        total += r.findings();
+        for (const auto &f : r.liveness.findings)
+            if (!repro && !f.witness.ops.empty())
+                repro = &f;
+    }
     bool io_ok = true;
-    bool wrote_repro = false;
-    for (const PolicySel &sel : sels) {
-        if (mode == "mdg") {
-            const verify::MdgReport rep = verify::analyzeMdg(*sel.spec);
-            policies.push(verify::mdgPolicyJson(sel.name, *sel.spec, rep));
-            if (print)
-                printMdgReport(sel.name, rep);
-            total += rep.findings.size();
-        } else if (mode == "liveness") {
-            const verify::LivenessReport rep =
-                verify::analyzeLiveness(sel.set);
-            policies.push(verify::livenessPolicyJson(sel.name, rep));
-            if (print)
-                printLivenessReport(sel.name, rep);
-            total += rep.findings.size();
-            for (const auto &f : rep.findings) {
-                if (opt.reproPath.empty() || wrote_repro ||
-                    f.witness.ops.empty())
-                    continue;
-                io_ok &= writeLivenessRepro(opt.reproPath, f.config, 3,
-                                            f.witness.ops);
-                wrote_repro = true;
-                if (print)
-                    std::printf("repro trace written to %s\n",
-                                opt.reproPath.c_str());
-            }
-        } else {
-            const verify::LintReport rep =
-                opt.lintMc ? verify::lintSpecWithModel(*sel.spec, sel.set)
-                           : verify::lintSpec(*sel.spec);
-            if (classic) {
-                classic_doc = verify::lintToJson(*sel.spec, rep);
-                csv = verify::lintToCsv(rep);
-            } else {
-                policies.push(
-                    verify::lintPolicyJson(sel.name, *sel.spec, rep));
-            }
-            if (print)
-                printLintReport(*sel.spec, rep, sel.name);
-            total += rep.findings.size();
-        }
+    if (!opt.out.jsonPath.empty())
+        io_ok &= runner::writeTextFile(
+            opt.out.jsonPath, verify::lintDocument(reports).dump(2) + "\n");
+    if (!opt.reproPath.empty() && repro) {
+        io_ok &= writeLivenessRepro(opt.reproPath, repro->config, 3,
+                                    repro->witness.ops);
+        if (print)
+            std::printf("repro trace written to %s\n",
+                        opt.reproPath.c_str());
     }
-
-    if (!opt.out.jsonPath.empty()) {
-        const JsonValue doc =
-            classic ? std::move(classic_doc)
-                    : verify::lintFindingsDocument(mode,
-                                                   std::move(policies));
-        io_ok &= runner::writeTextFile(opt.out.jsonPath,
-                                       doc.dump(2) + "\n");
-    }
-    if (!opt.out.csvPath.empty())
-        io_ok &= runner::writeTextFile(opt.out.csvPath, csv);
-    if (mode != "spec" && print) {
+    if (print) {
         if (total)
-            std::printf("%s: %zu finding(s)\n", mode.c_str(), total);
+            std::printf("lint: %zu finding(s)\n", total);
         else
-            std::printf("%s: clean\n", mode.c_str());
+            std::printf("lint: clean\n");
     }
     if (!io_ok)
         return 1;

@@ -103,8 +103,8 @@ const CoherencePolicy &policyFor(ProtocolKind kind);
  *  bake-off and the per-policy lint sweep). */
 const std::vector<ProtocolKind> &registeredPolicyKinds();
 
-/** The abstract-model configuration family `pcsim lint` cross-checks
- *  @p kind's spec against (verify::lintSpecWithModel). */
+/** The abstract-model configuration family `pcsim lint` checks
+ *  @p kind's spec against (verify::checkPolicies). */
 verify::McCheckSet modelCheckSetFor(ProtocolKind kind);
 
 } // namespace pcsim

@@ -148,13 +148,6 @@ makeRunnerWorkload(const std::string &name, unsigned num_cpus,
 namespace
 {
 
-struct ConfigEntry
-{
-    const char *name;
-    const char *alias; ///< optional second spelling ("" = none)
-    MachineConfig (*make)(unsigned num_nodes);
-};
-
 MachineConfig
 makeRac32k(unsigned n)
 {
@@ -186,17 +179,26 @@ makeAdaptiveHybrid(unsigned n)
 }
 
 const ConfigEntry configTable[] = {
-    {"base", "", presets::base},
-    {"rac32k", "rac", makeRac32k},
-    {"rac1m", "", makeRac1m},
-    {"small", "pcopt", presets::small},
-    {"large", "pcopt-large", presets::large},
-    {"delegation", "delegation-only", makeDelegation},
-    {"write-update", "update", makeWriteUpdate},
-    {"adaptive-hybrid", "adaptive", makeAdaptiveHybrid},
+    {"base", "", "baseline directory protocol", presets::base},
+    {"rac32k", "rac", "base + 32K remote access cache", makeRac32k},
+    {"rac1m", "", "base + 1M remote access cache", makeRac1m},
+    {"small", "pcopt", "32-entry deledc & 32K RAC", presets::small},
+    {"large", "pcopt-large", "1K-entry deledc & 1M RAC", presets::large},
+    {"delegation", "delegation-only",
+     "delegation without speculative updates", makeDelegation},
+    {"write-update", "update", "Dragon-style write-update protocol",
+     makeWriteUpdate},
+    {"adaptive-hybrid", "adaptive",
+     "write-update with per-line self-invalidation", makeAdaptiveHybrid},
 };
 
 } // namespace
+
+std::span<const ConfigEntry>
+configEntries()
+{
+    return configTable;
+}
 
 bool
 namedMachineConfig(const std::string &name, unsigned num_nodes,

@@ -18,6 +18,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -103,6 +104,18 @@ std::unique_ptr<Workload> makeRunnerWorkload(const std::string &name,
                                              double scale = 1.0);
 
 // --- configuration registry --------------------------------------
+
+/** One named machine-configuration preset. */
+struct ConfigEntry
+{
+    const char *name;
+    const char *alias; ///< optional second spelling ("" = none)
+    const char *description;
+    MachineConfig (*make)(unsigned num_nodes);
+};
+
+/** Every preset namedMachineConfig() accepts, in listing order. */
+std::span<const ConfigEntry> configEntries();
 
 /**
  * Look up a machine configuration preset by name (case-insensitive;

@@ -160,6 +160,12 @@ runTraceReplay(const TraceReplayOptions &opt)
         return 1;
     }
     j.cfg.proto.lineBytes = data->meta.lineBytes;
+    const std::string verr = j.cfg.proto.validateError();
+    if (!verr.empty()) {
+        std::fprintf(stderr, "pcsim trace replay: %s: %s\n",
+                     opt.tracePath.c_str(), verr.c_str());
+        return 1;
+    }
     j.workload = data->meta.workload.empty() ? "trace"
                                              : data->meta.workload;
     j.configName = configName;

@@ -210,6 +210,10 @@ decodeTrace(const std::string &bytes, const std::string &origin)
     m.coarse = c.u32("header coarse");
     if (m.coarse == 0)
         throw TraceError(origin + ": header coarse is zero");
+    if (!isPowerOfTwo(m.coarse))
+        throw TraceError(origin + ": header coarse " +
+                         std::to_string(m.coarse) +
+                         " is not a power of two");
     m.seed = c.u64("header seed");
     const std::uint64_t scale_bits = c.u64("header scale");
     std::memcpy(&m.scale, &scale_bits, sizeof(m.scale));

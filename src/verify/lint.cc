@@ -1,12 +1,8 @@
 #include "src/verify/lint.hh"
 
 #include <algorithm>
-#include <cstddef>
-#include <iterator>
 #include <map>
 #include <set>
-
-#include "src/verify/liveness.hh"
 
 namespace pcsim::verify
 {
@@ -99,58 +95,6 @@ lintUnreachable(const TransitionSpec &spec, LintReport &r)
     }
 }
 
-// --- Pass 4: model cross-check --------------------------------------
-
-void
-lintModelCrossCheck(const TransitionSpec &spec, McCheckSet set,
-                    LintReport &r)
-{
-    // The explorations are shared with the liveness pass (see
-    // src/verify/liveness.hh): same configuration family, and each
-    // configuration is explored once per process.
-    std::map<SpecTuple, std::string> observed; // tuple -> first config
-    for (const NamedModelConfig &mcfg : modelConfigsFor(set)) {
-        const ModelExploration e = exploreModel(mcfg);
-        std::string failure = e.violation;
-        for (const LivenessFinding &f : e.findings) {
-            if (failure.empty() && f.kind == "deadlock")
-                failure = f.detail;
-        }
-        if (!failure.empty()) {
-            finding(r, "mc-mismatch", Ctrl::Cache, "", "",
-                    "model exploration failed (" + mcfg.name +
-                        "): " + failure);
-            continue;
-        }
-        ++r.mcConfigs;
-        r.mcStates += e.stats.states;
-        for (const SpecTuple &t : e.observed)
-            observed.emplace(t, mcfg.name);
-    }
-    r.mcObserved = observed.size();
-
-    for (const auto &[t, config] : observed) {
-        std::string detail = "model (" + config + ")";
-        switch (spec.fit(t.ctrl, t.state, t.event, t.next)) {
-          case Fit::Ok:
-            continue;
-          case Fit::Impossible:
-            detail += " exercises a pair the spec declares impossible";
-            break;
-          case Fit::NoRule:
-            detail += " exercises a pair the spec has no rule for";
-            break;
-          case Fit::NextOutside:
-            detail += " reaches '" + spec.stateName(t.ctrl, t.next) +
-                      "', outside the rule's allowed set";
-            break;
-        }
-        finding(r, "mc-mismatch", t.ctrl,
-                spec.stateName(t.ctrl, t.state), eventName(t.event),
-                std::move(detail));
-    }
-}
-
 std::string
 csvField(const std::string &s)
 {
@@ -176,102 +120,6 @@ lintSpec(const TransitionSpec &spec)
     lintAmbiguous(spec, r);
     lintUnreachable(spec, r);
     return r;
-}
-
-LintReport
-lintSpecWithModel(const TransitionSpec &spec, McCheckSet set)
-{
-    LintReport r = lintSpec(spec);
-    lintModelCrossCheck(spec, set, r);
-    return r;
-}
-
-JsonValue
-lintToJson(const TransitionSpec &spec, const LintReport &r)
-{
-    JsonValue doc = JsonValue::object();
-    doc["schemaVersion"] = JsonValue(std::uint64_t(1));
-    doc["generator"] = JsonValue("pcsim-lint");
-
-    JsonValue sp = JsonValue::object();
-    sp["rules"] = JsonValue(std::uint64_t(spec.rules().size()));
-    sp["impossible"] =
-        JsonValue(std::uint64_t(spec.impossible().size()));
-    JsonValue states = JsonValue::object();
-    for (unsigned ci = 0;
-         ci < static_cast<unsigned>(Ctrl::NumCtrls); ++ci) {
-        const Ctrl c = static_cast<Ctrl>(ci);
-        states[ctrlName(c)] =
-            JsonValue(std::uint64_t(spec.states(c).size()));
-    }
-    sp["states"] = std::move(states);
-    doc["spec"] = std::move(sp);
-
-    if (r.mcConfigs) {
-        JsonValue model = JsonValue::object();
-        model["configs"] = JsonValue(r.mcConfigs);
-        model["statesExplored"] = JsonValue(r.mcStates);
-        model["observedTransitions"] = JsonValue(r.mcObserved);
-        doc["model"] = std::move(model);
-    }
-
-    doc["findings"] = lintFindingsJson(r.findings);
-    return doc;
-}
-
-JsonValue
-lintFindingsJson(const std::vector<LintFinding> &findings)
-{
-    JsonValue arr = JsonValue::array();
-    for (const LintFinding &f : findings) {
-        JsonValue e = JsonValue::object();
-        e["kind"] = JsonValue(f.kind);
-        e["controller"] = JsonValue(f.ctrl);
-        e["state"] = JsonValue(f.state);
-        e["event"] = JsonValue(f.event);
-        e["detail"] = JsonValue(f.detail);
-        arr.push(std::move(e));
-    }
-    return arr;
-}
-
-JsonValue
-lintPolicyJson(const std::string &policy, const TransitionSpec &spec,
-               const LintReport &r)
-{
-    // Reuse lintToJson so the fragment cannot drift from the classic
-    // single-policy document; only the envelope keys differ.
-    const JsonValue full = lintToJson(spec, r);
-    JsonValue doc = JsonValue::object();
-    doc["policy"] = JsonValue(policy);
-    for (const auto &[key, value] : full.members()) {
-        if (key != "schemaVersion" && key != "generator")
-            doc[key] = value;
-    }
-    return doc;
-}
-
-JsonValue
-lintFindingsDocument(const std::string &mode, JsonValue policies)
-{
-    JsonValue doc = JsonValue::object();
-    doc["schemaVersion"] = JsonValue(std::uint64_t(1));
-    doc["generator"] = JsonValue("pcsim-lint");
-    doc["mode"] = JsonValue(mode);
-    doc["policies"] = std::move(policies);
-    return doc;
-}
-
-std::string
-lintToCsv(const LintReport &r)
-{
-    std::string out = "kind,controller,state,event,detail\n";
-    for (const LintFinding &f : r.findings) {
-        out += csvField(f.kind) + ',' + csvField(f.ctrl) + ',' +
-               csvField(f.state) + ',' + csvField(f.event) + ',' +
-               csvField(f.detail) + '\n';
-    }
-    return out;
 }
 
 CoverageReport

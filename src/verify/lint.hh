@@ -1,8 +1,8 @@
 /**
  * @file
- * Static conformance lint over the declarative transition spec
- * (`pcsim lint`), plus the transition-coverage report
- * (`pcsim lint --coverage <results.json>`).
+ * Static conformance passes over the declarative transition spec (run
+ * by `pcsim lint`, see src/verify/check.hh), plus the transition-
+ * coverage report (`pcsim lint --coverage <results.json>`).
  *
  * Finding classes:
  *  - "unhandled":   a declared state has neither a rule nor an
@@ -15,8 +15,9 @@
  *                   exhaustively, takes a transition the spec does not
  *                   admit (TransitionSpec::fit: missing rule,
  *                   impossible pair, or a next state outside the
- *                   allowed set), or its exploration failed (an
- *                   invariant violation or a hard deadlock).
+ *                   allowed set). Raised by the model cross-check in
+ *                   checkSpec(); a model that breaks an invariant or
+ *                   deadlocks is reported by the liveness pass.
  *
  * The coverage report inverts the runtime feed: it lists every legal
  * (state, event, next) tuple the spec admits and how often recorded
@@ -47,12 +48,12 @@ struct LintFinding
     std::string detail; ///< human-readable explanation
 };
 
-/** Outcome of the lint passes. */
+/** Outcome of the static passes and the model cross-check. */
 struct LintReport
 {
     std::vector<LintFinding> findings;
 
-    // Model cross-check statistics (zero when the pass was skipped).
+    // Model cross-check statistics (zero when no model was explored).
     std::uint64_t mcConfigs = 0;
     std::uint64_t mcStates = 0;
     std::uint64_t mcObserved = 0; ///< distinct model transitions
@@ -72,36 +73,6 @@ enum class McCheckSet
     WriteUpdate,   ///< Dragon-style write-update
     AdaptiveHybrid ///< write-update plus nondeterministic drops
 };
-
-/** Static passes plus the model cross-check: explore the 3-node
- *  abstraction under every configuration in @p set and check each
- *  transition taken against @p spec. The default set covers the
- *  MESI-dir + delegation stack (base, delegation, delegation+updates)
- *  and keeps the historical single-argument behaviour. */
-LintReport lintSpecWithModel(const TransitionSpec &spec,
-                             McCheckSet set = McCheckSet::MesiDele);
-
-JsonValue lintToJson(const TransitionSpec &spec, const LintReport &r);
-std::string lintToCsv(const LintReport &r);
-
-/** Findings serialized as the JSON array every lint mode shares
- *  ({"kind", "controller", "state", "event", "detail"} objects). */
-JsonValue lintFindingsJson(const std::vector<LintFinding> &findings);
-
-/** lintToJson's body as a per-policy fragment ({"policy": name,
- *  "spec", "model"?, "findings"}) for the combined --policy=all
- *  document. */
-JsonValue lintPolicyJson(const std::string &policy,
-                         const TransitionSpec &spec,
-                         const LintReport &r);
-
-/** Wrap per-policy fragments into the combined multi-policy document:
- *  {"schemaVersion": 1, "generator": "pcsim-lint", "mode": mode,
- *   "policies": [...]}. Used by `pcsim lint --json` for --policy=all
- *  and for the liveness / mdg modes (the classic single-policy
- *  document keeps its historical lintToJson shape). */
-JsonValue lintFindingsDocument(const std::string &mode,
-                               JsonValue policies);
 
 /** One legal spec transition with its observed exercise count. */
 struct CoverageRow

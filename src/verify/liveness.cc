@@ -4,7 +4,7 @@
 #include <deque>
 #include <mutex>
 #include <set>
-#include <tuple>
+#include <utility>
 
 #include "src/mc/explorer.hh"
 
@@ -148,17 +148,23 @@ renderHops(const Graph &g, const std::vector<std::uint32_t> &ids,
 /** Explore @p ncfg once: the graph feeds the liveness analysis and
  *  the attached listener records the spec tuples. */
 ModelExploration
-exploreAndAnalyze(const NamedModelConfig &ncfg, std::uint64_t max_states)
+exploreAndAnalyze(const NamedModelConfig &ncfg)
 {
     ModelExploration result;
+    LivenessConfigStats &stats = result.stats;
+    stats.name = ncfg.name;
     mc::ProtocolModel model(ncfg.cfg);
     TupleCollector collector;
     model.setListener(&collector);
     Graph g;
     try {
-        g = GraphExplorer<mc::ProtocolModel>(model, max_states).run();
+        g = GraphExplorer<mc::ProtocolModel>(model, 5'000'000).run();
     } catch (const McError &e) {
-        result.violation = e.what();
+        LivenessFinding f;
+        f.kind = "invariant";
+        f.config = ncfg.name;
+        f.detail = e.what();
+        result.findings.push_back(std::move(f));
         return result;
     }
     result.observed.assign(collector.seen.begin(), collector.seen.end());
@@ -169,8 +175,6 @@ exploreAndAnalyze(const NamedModelConfig &ncfg, std::uint64_t max_states)
     for (std::uint32_t i = 0; i < n; ++i)
         w[i] = weightOf(g.states[i], nodes);
 
-    LivenessConfigStats &stats = result.stats;
-    stats.name = ncfg.name;
     stats.states = n;
     stats.completed = g.completed;
 
@@ -358,92 +362,21 @@ modelConfigsFor(McCheckSet set)
 }
 
 ModelExploration
-exploreModel(const NamedModelConfig &config, std::uint64_t maxStates)
+exploreModel(const NamedModelConfig &config)
 {
-    // `pcsim lint --policy=all` asks for the MESI family under three
-    // policies and write-update under two, each for the cross-check
-    // and the liveness pass; the model is explored once per config.
+    // `pcsim lint` checks the MESI family once (its three policies
+    // share one spec) and asks for write-update under two families;
+    // the model is explored once per config.
     static std::mutex mutex;
-    static std::vector<
-        std::tuple<NamedModelConfig, std::uint64_t, ModelExploration>>
+    static std::vector<std::pair<NamedModelConfig, ModelExploration>>
         cache;
     const std::lock_guard<std::mutex> lock(mutex);
-    for (const auto &[cfg, limit, result] : cache) {
-        if (cfg == config && limit == maxStates)
+    for (const auto &[cfg, result] : cache) {
+        if (cfg == config)
             return result;
     }
-    cache.emplace_back(config, maxStates,
-                       exploreAndAnalyze(config, maxStates));
-    return std::get<2>(cache.back());
-}
-
-LivenessReport
-analyzeLiveness(const std::vector<NamedModelConfig> &configs,
-                std::uint64_t maxStates)
-{
-    LivenessReport report;
-    for (const NamedModelConfig &c : configs) {
-        ModelExploration e = exploreModel(c, maxStates);
-        if (!e.violation.empty())
-            throw McError(e.violation);
-        report.configs.push_back(std::move(e.stats));
-        for (LivenessFinding &f : e.findings)
-            report.findings.push_back(std::move(f));
-    }
-    return report;
-}
-
-LivenessReport
-analyzeLiveness(McCheckSet set)
-{
-    return analyzeLiveness(modelConfigsFor(set));
-}
-
-JsonValue
-livenessPolicyJson(const std::string &policy, const LivenessReport &r)
-{
-    JsonValue doc = JsonValue::object();
-    doc["policy"] = JsonValue(policy);
-    JsonValue configs = JsonValue::array();
-    for (const LivenessConfigStats &c : r.configs) {
-        JsonValue e = JsonValue::object();
-        e["name"] = JsonValue(c.name);
-        e["states"] = JsonValue(c.states);
-        e["edges"] = JsonValue(c.edges);
-        e["progressEdges"] = JsonValue(c.progressEdges);
-        e["quiescentStates"] = JsonValue(c.quiescentStates);
-        e["completed"] = JsonValue(c.completed);
-        configs.push(std::move(e));
-    }
-    doc["configs"] = std::move(configs);
-    JsonValue findings = JsonValue::array();
-    for (const LivenessFinding &f : r.findings) {
-        JsonValue e = JsonValue::object();
-        e["kind"] = JsonValue(f.kind);
-        e["config"] = JsonValue(f.config);
-        e["detail"] = JsonValue(f.detail);
-        JsonValue w = JsonValue::object();
-        JsonValue prefix = JsonValue::array();
-        for (const std::string &h : f.witness.prefix)
-            prefix.push(JsonValue(h));
-        w["prefix"] = std::move(prefix);
-        JsonValue cycle = JsonValue::array();
-        for (const std::string &h : f.witness.cycle)
-            cycle.push(JsonValue(h));
-        w["cycle"] = std::move(cycle);
-        JsonValue ops = JsonValue::array();
-        for (const WitnessOp &op : f.witness.ops) {
-            JsonValue o = JsonValue::object();
-            o["node"] = JsonValue(std::uint64_t(op.node));
-            o["op"] = JsonValue(op.isWrite ? "write" : "read");
-            ops.push(std::move(o));
-        }
-        w["ops"] = std::move(ops);
-        e["witness"] = std::move(w);
-        findings.push(std::move(e));
-    }
-    doc["findings"] = std::move(findings);
-    return doc;
+    cache.emplace_back(config, exploreAndAnalyze(config));
+    return cache.back().second;
 }
 
 } // namespace pcsim::verify

@@ -1,7 +1,7 @@
 /**
  * @file
- * Liveness lint over the src/mc abstract protocol model
- * (`pcsim lint --liveness`): fairness-constrained SCC analysis of the
+ * Liveness analysis over the src/mc abstract protocol model (one of
+ * the `pcsim lint` passes): fairness-constrained SCC analysis of the
  * full explored state graph, finding livelock lassos -- reachable
  * regions from which no run can ever complete another operation or
  * drain to quiescence -- and hard deadlocks, each with a replayable
@@ -29,13 +29,15 @@
  * per-hop labels (message deliveries src->dst, sends, CPU op
  * injections and completions) derived by diffing adjacent states.
  * Where the lasso's hops include concrete CPU operations the witness
- * also lists them as per-node op streams, which `pcsim lint
- * --liveness --repro FILE` converts into a replayable PCTR trace.
+ * also lists them as per-node op streams, which `pcsim lint --repro
+ * FILE` converts into a replayable PCTR trace.
  *
- * One exploration serves both lint passes: exploreModel() walks a
+ * One exploration serves both model passes: exploreModel() walks a
  * configuration's graph once, collecting the spec tuples the model
  * cross-check needs and the liveness stats and findings, and caches
  * those small results (not the graph) for the rest of the process.
+ * An invariant violation aborts the walk and becomes that
+ * configuration's one "invariant" finding.
  */
 
 #ifndef PCSIM_VERIFY_LIVENESS_HH
@@ -46,7 +48,6 @@
 #include <vector>
 
 #include "src/mc/protocol_model.hh"
-#include "src/sim/json.hh"
 #include "src/verify/lint.hh"
 
 namespace pcsim::verify
@@ -87,10 +88,11 @@ struct LivenessWitness
     std::vector<WitnessOp> ops;
 };
 
-/** One liveness finding: "livelock" or "deadlock". */
+/** One finding of a model exploration: "invariant", "deadlock" or
+ *  "livelock" (the last two carry a witness). */
 struct LivenessFinding
 {
-    std::string kind;   ///< "livelock" | "deadlock"
+    std::string kind;   ///< "invariant" | "deadlock" | "livelock"
     std::string config; ///< model configuration name
     std::string detail; ///< human-readable summary
     LivenessWitness witness;
@@ -115,42 +117,28 @@ struct ModelExploration
     /** Distinct spec tuples the model's FSM steps took, sorted. */
     std::vector<SpecTuple> observed;
     LivenessConfigStats stats;
-    /** A deadlock finding, then a livelock finding, each optional. */
+    /** One invariant finding (the walk aborted: nothing was observed
+     *  and the stats hold only the name), or a deadlock finding, then
+     *  a livelock finding, each optional. */
     std::vector<LivenessFinding> findings;
-    /** McError text of an invariant violation, which aborts the
-     *  exploration (every other field is then empty). */
-    std::string violation;
 };
 
-/** Explore @p config and analyze its state graph. Results are cached
- *  per (config, maxStates) for the life of the process, so lint
- *  explores each distinct configuration once however many policies
- *  and passes ask for it. At most one finding of each kind (the one
- *  with the shortest prefix) is reported -- a bad region yields one
- *  witness, not one per state. */
-ModelExploration exploreModel(const NamedModelConfig &config,
-                              std::uint64_t maxStates = 5'000'000);
+/** Explore @p config (up to 5M states; `completed` says whether the
+ *  walk finished) and analyze its state graph. Results are cached per
+ *  config for the life of the process, so lint explores each distinct
+ *  configuration once however many policies and passes ask for it.
+ *  At most one finding of each kind (the one with the shortest
+ *  prefix) is reported -- a bad region yields one witness, not one
+ *  per state. */
+ModelExploration exploreModel(const NamedModelConfig &config);
 
-/** Outcome of the liveness pass over one configuration family. */
+/** Outcome of the liveness pass over one configuration family:
+ *  every exploration's stats and findings, in configuration order. */
 struct LivenessReport
 {
     std::vector<LivenessConfigStats> configs;
     std::vector<LivenessFinding> findings;
-
-    bool clean() const { return findings.empty(); }
 };
-
-/** exploreModel() over every configuration in @p configs, collected
- *  into one report. @throws McError on an invariant violation. */
-LivenessReport analyzeLiveness(const std::vector<NamedModelConfig> &configs,
-                               std::uint64_t maxStates = 5'000'000);
-
-/** Convenience: analyzeLiveness over modelConfigsFor(set). */
-LivenessReport analyzeLiveness(McCheckSet set);
-
-/** Per-policy JSON fragment ({"policy": name, configs, findings}). */
-JsonValue livenessPolicyJson(const std::string &policy,
-                             const LivenessReport &r);
 
 } // namespace pcsim::verify
 

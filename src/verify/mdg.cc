@@ -31,18 +31,6 @@ msgOfEvent(PEvent e)
     return static_cast<MsgType>(e);
 }
 
-std::string
-listNames(const std::vector<MsgType> &ts)
-{
-    std::string out;
-    for (MsgType t : ts) {
-        if (!out.empty())
-            out += ", ";
-        out += msgTypeName(t);
-    }
-    return out;
-}
-
 } // namespace
 
 const char *
@@ -348,32 +336,6 @@ analyzeMdg(const TransitionSpec &spec)
             r.unmodeled.push_back(t);
 
     return r;
-}
-
-JsonValue
-mdgPolicyJson(const std::string &policy, const TransitionSpec &spec,
-              const MdgReport &r)
-{
-    JsonValue doc = JsonValue::object();
-    doc["policy"] = JsonValue(policy);
-    doc["rules"] = JsonValue(std::uint64_t(spec.rules().size()));
-    doc["messages"] = JsonValue(std::uint64_t(r.messages.size()));
-    doc["edges"] = JsonValue(std::uint64_t(r.edges.size()));
-    JsonValue sinks = JsonValue::array();
-    for (MsgType t : r.sinks)
-        sinks.push(JsonValue(msgTypeName(t)));
-    doc["sinks"] = std::move(sinks);
-    JsonValue non_sinks = JsonValue::array();
-    for (MsgType t : r.messages)
-        if (std::find(r.sinks.begin(), r.sinks.end(), t) ==
-            r.sinks.end())
-            non_sinks.push(JsonValue(msgTypeName(t)));
-    doc["nonSinks"] = std::move(non_sinks);
-    doc["reissueEdges"] = JsonValue(r.reissueEdges);
-    doc["nackProtectedEdges"] = JsonValue(r.nackProtectedEdges);
-    doc["unmodeled"] = JsonValue(listNames(r.unmodeled));
-    doc["findings"] = lintFindingsJson(r.findings);
-    return doc;
 }
 
 } // namespace pcsim::verify

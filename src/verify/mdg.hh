@@ -1,7 +1,7 @@
 /**
  * @file
  * Message-dependency-graph (MDG) analysis over a declarative
- * transition spec (`pcsim lint --mdg`).
+ * transition spec (one of the `pcsim lint` passes).
  *
  * The pass derives, purely from the spec's allowed-sends sets, a
  * type-level dependency graph: an edge t -> u means some rule that
@@ -47,7 +47,6 @@
 #include <string>
 #include <vector>
 
-#include "src/sim/json.hh"
 #include "src/verify/lint.hh"
 #include "src/verify/spec.hh"
 
@@ -94,10 +93,6 @@ struct MdgReport
 
 /** Run the MDG pass over @p spec. */
 MdgReport analyzeMdg(const TransitionSpec &spec);
-
-/** Per-policy JSON fragment ({"policy": name, stats..., findings}). */
-JsonValue mdgPolicyJson(const std::string &policy,
-                        const TransitionSpec &spec, const MdgReport &r);
 
 } // namespace pcsim::verify
 

@@ -1,6 +1,7 @@
-/** @file Protocol-spec lint tests: the shipped spec must be clean
- *  (golden-file check on the JSON report), and a seeded defect of
- *  each class must be caught by the matching pass. */
+/** @file Protocol-spec lint tests: every shipped spec must be clean
+ *  (golden-file check on the combined `pcsim lint` report), a seeded
+ *  defect of each class must be caught by the matching pass, and each
+ *  model defect is reported once. */
 
 #include <gtest/gtest.h>
 
@@ -11,10 +12,7 @@
 #include "src/cache/line_state.hh"
 #include "src/mem/directory.hh"
 #include "src/protocol/policy.hh"
-#include "src/verify/lint.hh"
-#include "src/verify/liveness.hh"
-#include "src/verify/mdg.hh"
-#include "src/verify/spec.hh"
+#include "src/verify/check.hh"
 
 using namespace pcsim;
 using namespace pcsim::verify;
@@ -56,7 +54,9 @@ TEST(Lint, ShippedSpecIsClean)
 
 TEST(Lint, ShippedSpecMatchesModel)
 {
-    const LintReport r = lintSpecWithModel(protocolSpec());
+    const LintReport r =
+        checkSpec(protocolSpec(), modelConfigsFor(McCheckSet::MesiDele))
+            .lint;
     for (const auto &f : r.findings) {
         ADD_FAILURE() << f.kind << ": " << f.ctrl << " " << f.state
                       << " x " << f.event << ": " << f.detail;
@@ -67,17 +67,23 @@ TEST(Lint, ShippedSpecMatchesModel)
     EXPECT_GT(r.mcObserved, 50u);
 }
 
-TEST(Lint, GoldenJsonReport)
+TEST(Lint, GoldenReport)
 {
-    // The serialized static-lint report is a committed artifact:
-    // regenerate tests/golden/lint_clean.json when the spec grows
-    // (build/apps/pcsim lint --no-mc --json tests/golden/...).
-    const TransitionSpec &spec = protocolSpec();
-    const std::string got =
-        lintToJson(spec, lintSpec(spec)).dump(2) + "\n";
-    const std::string want =
-        readFile(std::string(PCSIM_SOURCE_DIR) +
-                 "/tests/golden/lint_clean.json");
+    // Byte-compare the report of every registered policy against the
+    // committed golden -- the same bytes `pcsim lint --json FILE`
+    // writes and CI diffs. Regenerate with:
+    //   build/apps/pcsim lint --json tests/golden/lint.json
+    std::vector<PolicySpec> policies;
+    for (ProtocolKind kind : registeredPolicyKinds()) {
+        const CoherencePolicy &p = policyFor(kind);
+        policies.push_back({p.name(), &p.spec(), modelCheckSetFor(kind)});
+    }
+    const std::vector<SpecReport> reports = checkPolicies(policies);
+    ASSERT_EQ(reports.size(), 3u); // MESI-dir + delegation share a spec
+    EXPECT_EQ(reports[0].policies.size(), 3u);
+    const std::string got = lintDocument(reports).dump(2) + "\n";
+    const std::string want = readFile(std::string(PCSIM_SOURCE_DIR) +
+                                      "/tests/golden/lint.json");
     ASSERT_FALSE(want.empty()) << "golden file missing";
     EXPECT_EQ(got, want);
 }
@@ -145,7 +151,8 @@ TEST(Lint, DetectsModelMismatch)
     ASSERT_NE(rule, nullptr);
     rule->next = {static_cast<StateId>(DirState::Unowned)};
     ASSERT_TRUE(lintSpec(spec).clean()) << "defect must be mc-only";
-    const LintReport r = lintSpecWithModel(spec);
+    const LintReport r =
+        checkSpec(spec, modelConfigsFor(McCheckSet::MesiDele)).lint;
     EXPECT_TRUE(hasFinding(r, "mc-mismatch", "Unowned", "ReqShared"));
 }
 
@@ -173,8 +180,9 @@ TEST(Lint, CrossCheckAndLivenessShareExplorations)
         {McCheckSet::AdaptiveHybrid, &adaptiveHybridSpec()},
     };
     for (const auto &[set, spec] : sets) {
-        const LintReport lint = lintSpecWithModel(*spec, set);
-        const LivenessReport live = analyzeLiveness(set);
+        const SpecReport r = checkSpec(*spec, modelConfigsFor(set));
+        const LintReport &lint = r.lint;
+        const LivenessReport &live = r.liveness;
         std::uint64_t states = 0;
         for (const LivenessConfigStats &c : live.configs)
             states += c.states;
@@ -216,18 +224,6 @@ TEST(Lint, CoverageFoldsObservedCounts)
 
     const std::string csv = coverageToCsv(spec, r);
     EXPECT_NE(csv.find("cache,I,CpuLoad,S,14"), std::string::npos);
-}
-
-TEST(Lint, CsvEscapesAndLists)
-{
-    TransitionSpec spec = buildProtocolSpec();
-    ASSERT_TRUE(spec.removeRule(Ctrl::Producer, prodExcl,
-                                PEvent::LocalFlush));
-    const std::string csv = lintToCsv(lintSpec(spec));
-    EXPECT_NE(csv.find("kind,controller,state,event,detail"),
-              std::string::npos);
-    EXPECT_NE(csv.find("unhandled,producer,Excl,LocalFlush"),
-              std::string::npos);
 }
 
 // --- Message-dependency-graph pass ----------------------------------
@@ -355,19 +351,44 @@ TEST(Mdg, DetectsUndeliverableSend)
 
 // --- Liveness pass --------------------------------------------------
 
+namespace
+{
+
+/** Seeded defect (ModelConfig::defectStallUpdateWB): the home consumes
+ *  the writer's UpdateWB without closing the BUSY_UPD episode, so
+ *  every later request NACKs forever -- a non-progress retry loop, not
+ *  a hard deadlock. */
+NamedModelConfig
+stalledUpdateConfig(bool adaptive)
+{
+    NamedModelConfig c;
+    c.name = adaptive ? "adaptive-hybrid" : "write-update";
+    c.cfg.nodes = 3;
+    c.cfg.maxWrites = 2;
+    c.cfg.maxReads = 1;
+    c.cfg.writeUpdate = true;
+    c.cfg.adaptive = adaptive;
+    c.cfg.defectStallUpdateWB = true;
+    return c;
+}
+
+} // namespace
+
 TEST(Liveness, ShippedModelsAreLive)
 {
     for (McCheckSet set :
          {McCheckSet::MesiDele, McCheckSet::WriteUpdate,
           McCheckSet::AdaptiveHybrid}) {
-        const LivenessReport r = analyzeLiveness(set);
-        for (const auto &f : r.findings) {
-            ADD_FAILURE() << f.kind << " (" << f.config
-                          << "): " << f.detail;
-        }
-        EXPECT_TRUE(r.clean());
-        ASSERT_FALSE(r.configs.empty());
-        for (const auto &c : r.configs) {
+        const std::vector<NamedModelConfig> configs = modelConfigsFor(set);
+        ASSERT_FALSE(configs.empty());
+        for (const NamedModelConfig &cfg : configs) {
+            const ModelExploration e = exploreModel(cfg);
+            for (const auto &f : e.findings) {
+                ADD_FAILURE() << f.kind << " (" << f.config
+                              << "): " << f.detail;
+            }
+            EXPECT_TRUE(e.findings.empty());
+            const LivenessConfigStats &c = e.stats;
             EXPECT_TRUE(c.completed) << c.name;
             EXPECT_GT(c.states, 0u) << c.name;
             EXPECT_GT(c.progressEdges, 0u) << c.name;
@@ -378,22 +399,10 @@ TEST(Liveness, ShippedModelsAreLive)
 
 TEST(Liveness, DetectsStalledUpdateEpisode)
 {
-    // Seeded defect (ModelConfig::defectStallUpdateWB): the home
-    // consumes the writer's UpdateWB without closing the BUSY_UPD
-    // episode, so every later request NACKs forever -- a non-progress
-    // retry loop, not a hard deadlock. Checked for both update
-    // policies.
+    // Checked for both update policies.
     for (bool adaptive : {false, true}) {
-        NamedModelConfig c;
-        c.name = adaptive ? "adaptive-hybrid" : "write-update";
-        c.cfg.nodes = 3;
-        c.cfg.maxWrites = 2;
-        c.cfg.maxReads = 1;
-        c.cfg.writeUpdate = true;
-        c.cfg.adaptive = adaptive;
-        c.cfg.defectStallUpdateWB = true;
-
-        const LivenessReport r = analyzeLiveness({c});
+        const NamedModelConfig c = stalledUpdateConfig(adaptive);
+        const ModelExploration r = exploreModel(c);
         ASSERT_EQ(r.findings.size(), 1u) << c.name;
         const LivenessFinding &f = r.findings[0];
         EXPECT_EQ(f.kind, "livelock") << c.name;
@@ -415,25 +424,39 @@ TEST(Liveness, DetectsStalledUpdateEpisode)
     }
 }
 
-TEST(Liveness, GoldenJsonReport)
+TEST(Liveness, ModelDefectIsReportedOnce)
 {
-    // Byte-compare the combined all-policies liveness document
-    // against the committed golden -- the same bytes `pcsim lint
-    // --liveness --policy=all --json FILE` writes and CI diffs.
-    // Regenerate with: build/apps/pcsim lint --liveness
-    //   --policy=all --json tests/golden/lint_liveness.json
-    JsonValue policies = JsonValue::array();
-    for (ProtocolKind kind : registeredPolicyKinds()) {
-        const CoherencePolicy &p = policyFor(kind);
-        policies.push(livenessPolicyJson(
-            p.name(), analyzeLiveness(modelCheckSetFor(kind))));
-    }
-    const std::string got =
-        lintFindingsDocument("liveness", std::move(policies)).dump(2) +
-        "\n";
-    const std::string want =
-        readFile(std::string(PCSIM_SOURCE_DIR) +
-                 "/tests/golden/lint_liveness.json");
-    ASSERT_FALSE(want.empty()) << "golden file missing";
-    EXPECT_EQ(got, want);
+    const NamedModelConfig c = stalledUpdateConfig(false);
+    const auto BU = static_cast<StateId>(DirState::BusyUpd);
+
+    // A spec that admits the home staying BusyUpd on UpdateWB leaves
+    // the cross-check nothing to flag: the whole report holds exactly
+    // one finding, the livelock with its witness.
+    TransitionSpec admits = buildWriteUpdateSpec();
+    TransitionRule *rule =
+        admits.findMutable(Ctrl::Dir, BU, PEvent::UpdateWB);
+    ASSERT_NE(rule, nullptr);
+    rule->next.push_back(BU);
+    const SpecReport r = checkSpec(admits, {c});
+    ASSERT_EQ(r.findings(), 1u);
+    ASSERT_EQ(r.liveness.findings.size(), 1u);
+    const LivenessFinding &f = r.liveness.findings[0];
+    EXPECT_EQ(f.kind, "livelock");
+    EXPECT_EQ(f.config, c.name);
+    EXPECT_FALSE(f.witness.prefix.empty());
+    EXPECT_FALSE(f.witness.cycle.empty());
+    EXPECT_FALSE(f.witness.ops.empty());
+    EXPECT_EQ(r.lint.mcConfigs, 1u);
+    EXPECT_EQ(r.liveness.configs.size(), 1u);
+
+    // The shipped spec does not admit that step, so the cross-check
+    // adds its own fact once: one mismatch for the out-of-spec tuple,
+    // beside the same single livelock.
+    const SpecReport shipped = checkSpec(writeUpdateSpec(), {c});
+    EXPECT_EQ(shipped.findings(), 2u);
+    ASSERT_EQ(shipped.lint.findings.size(), 1u);
+    EXPECT_TRUE(
+        hasFinding(shipped.lint, "mc-mismatch", "BusyUpd", "UpdateWB"));
+    ASSERT_EQ(shipped.liveness.findings.size(), 1u);
+    EXPECT_EQ(shipped.liveness.findings[0].kind, "livelock");
 }

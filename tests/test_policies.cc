@@ -14,7 +14,7 @@
 #include "src/runner/sweep.hh"
 #include "src/system/presets.hh"
 #include "src/system/system.hh"
-#include "src/verify/lint.hh"
+#include "src/verify/check.hh"
 #include "src/workload/micro.hh"
 
 #include "harness.hh"
@@ -143,8 +143,10 @@ TEST(PolicyLint, EveryRegisteredSpecIsCleanAgainstItsModel)
 {
     for (ProtocolKind kind : registeredPolicyKinds()) {
         const CoherencePolicy &p = policyFor(kind);
-        const verify::LintReport r = verify::lintSpecWithModel(
-            p.spec(), modelCheckSetFor(kind));
+        const verify::LintReport r =
+            verify::checkSpec(p.spec(),
+                              verify::modelConfigsFor(modelCheckSetFor(kind)))
+                .lint;
         for (const auto &f : r.findings) {
             ADD_FAILURE() << p.name() << ": " << f.kind << ": "
                           << f.ctrl << " " << f.state << " x "

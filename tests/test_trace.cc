@@ -9,6 +9,7 @@
 #include <string>
 
 #include "src/runner/results.hh"
+#include "src/runner/trace_cmd.hh"
 #include "src/system/presets.hh"
 #include "src/system/system.hh"
 #include "src/trace/format.hh"
@@ -175,6 +176,14 @@ TEST(TraceFormat, RejectsOutOfRangeNodeAndBrokenSeq)
     expectDecodeError(bad, "reserved");
 }
 
+TEST(TraceFormat, RejectsNonPowerOfTwoCoarse)
+{
+    trace::TraceMeta meta = sampleMeta();
+    meta.coarse = 3;
+    expectDecodeError(trace::encodeTrace(meta, sampleStreams()),
+                      "coarse 3 is not a power of two");
+}
+
 TEST(TraceFormat, FileRoundTripAndHeaderOnlyRead)
 {
     const std::string path =
@@ -252,6 +261,48 @@ TEST(TraceReplay, ReproducesRecordedStatsByteForByte)
     EXPECT_EQ(runner::toJson(recorded).dump(),
               runner::toJson(again).dump());
     std::remove(path.c_str());
+}
+
+TEST(TraceReplay, InvalidHeaderMachineIsAUsageError)
+{
+    // A header that decodes but names a machine the protocol rejects
+    // must fail the replay with exit status 1 before any job runs.
+    struct Case
+    {
+        const char *field;
+        std::size_t offset; ///< u32 offset in the header
+        std::uint32_t value;
+        const char *error;
+    };
+    const Case cases[] = {
+        {"lineBytes", 12, 100, "lineBytes 100 must be a power of two"},
+        {"nodeCount", 8, 5000,
+         "numNodes 5000 exceeds the supported maximum 4096"},
+    };
+    const std::string good =
+        trace::encodeTrace(sampleMeta(), sampleStreams());
+    for (const Case &c : cases) {
+        std::string bad = good;
+        for (unsigned i = 0; i < 4; ++i)
+            bad[c.offset + i] = static_cast<char>(c.value >> (8 * i));
+        const std::string path = testing::TempDir() +
+                                 "pcsim_trace_bad_" + c.field + ".pctr";
+        writeFile(path, bad);
+
+        runner::TraceReplayOptions opt;
+        opt.tracePath = path;
+        opt.out.threads = 1;
+        opt.out.progress = false;
+        opt.out.table = false;
+        testing::internal::CaptureStderr();
+        EXPECT_EQ(runner::runTraceReplay(opt), 1) << c.field;
+        const std::string err = testing::internal::GetCapturedStderr();
+        EXPECT_NE(err.find("pcsim trace replay: " + path + ": "),
+                  std::string::npos)
+            << err;
+        EXPECT_NE(err.find(c.error), std::string::npos) << err;
+        std::remove(path.c_str());
+    }
 }
 
 TEST(TextIngest, ParsesLabelsAndSkipsCommentsBlanks)
